@@ -1,4 +1,4 @@
-// Camus end-to-end benchmark driver.
+// Camus end-to-end benchmark program.
 //
 //   camus_perfbench --workload NAME --seed N --seconds S --trace 0|1
 //                   [--corrupt-oracle]

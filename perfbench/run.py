@@ -4,9 +4,9 @@
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Run from the repository root. The first call configures and builds the
-Camus libraries and the driver into .bench_build/perfbench (RelWithDebInfo,
+Camus libraries and the benchmark program into .bench_build/perfbench (RelWithDebInfo,
 the repository's default); later calls only re-check the build. The
-driver's last stdout line is the result JSON; build output and the driver's
+program's last stdout line is the result JSON; build output and the program's
 diagnostics go to stderr. Exits non-zero when the build or the run fails.
 """
 import os
