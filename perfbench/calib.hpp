@@ -9,15 +9,21 @@
 // section and reports
 //     scaled = raw * kNominalKernelNs / mean(kernel before, kernel after)
 // i.e. the section's time at the speed where the kernel takes exactly
-// kNominalKernelNs. The kernel is the benchmark's own code, so a change
-// to the program can never move it.
+// kNominalKernelNs. Two more kernels scale the other figures the same
+// way: a core-bound one around every delivery pass, and one made of
+// set-up-like work (page faults, allocation), the median of several rounds
+// right after the run's one cold set-up. All kernels are the benchmark's
+// own code, so a change to the program can never move them.
 #pragma once
+
+#include <sys/mman.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <unordered_map>
 #include <vector>
 
 namespace perfbench {
@@ -104,6 +110,63 @@ class Calibrator {
   std::uint64_t sink_ = 0;
   std::vector<double> kernels_;
 };
+
+// Kernel time, in ns, that delivery calls are scaled to: the core
+// kernel's median on the reference host when it is quiet.
+inline constexpr double kNominalCoreKernelNs = 200000.0;
+
+// One run of the core kernel, in ns: four independent streams of table
+// lookups and integer mixing over a 32 KiB table, so it stays in the core's
+// private caches and keeps several execution ports busy, as the data path
+// does. It slows with the core, e.g. when a sibling hardware thread is
+// busy, which a memory-bound kernel does not see.
+inline double core_kernel_ns() {
+  static const std::vector<std::uint32_t> table = [] {
+    std::vector<std::uint32_t> t(8192);
+    for (std::uint32_t i = 0; i < t.size(); ++i) t[i] = i * 2654435761u;
+    return t;
+  }();
+  const std::uint32_t* tab = table.data();
+  const std::uint64_t t0 = now_ns();
+  std::uint32_t a = 1, b = 2, c = 3, d = 4;
+  for (std::uint32_t i = 0; i < 50000; ++i) {
+    a = tab[(a ^ (a >> 7)) & 8191] + (a << 1) + i;
+    b = tab[(b ^ (b >> 5)) & 8191] ^ (b * 3) ^ i;
+    c = tab[(c + (c >> 3)) & 8191] + (c ^ 0x9e37) + i;
+    d = tab[(d * 5 + (d >> 9)) & 8191] ^ (d + 7) ^ i;
+  }
+  volatile std::uint32_t sink = a + b + c + d;
+  (void)sink;
+  return static_cast<double>(now_ns() - t0);
+}
+
+// Kernel time, in ns, that set-up times are scaled to: the set-up
+// kernel's median on the reference host (see README, "Measurement method").
+inline constexpr double kNominalSetupKernelNs = 6000000.0;
+
+// One round of the set-up kernel, in ns: the two kinds of work a cold
+// set-up does, on the benchmark's own data. It touches every page of a
+// fresh 8 MiB anonymous mapping (first-touch page faults) and builds a
+// node-based hash map of small vectors (allocation and pointer work).
+inline double setup_kernel_ns() {
+  const std::uint64_t t0 = now_ns();
+  constexpr std::size_t kLen = 8u << 20;
+  void* map = mmap(nullptr, kLen, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (map != MAP_FAILED) {
+    auto* bytes = static_cast<volatile char*>(map);
+    for (std::size_t off = 0; off < kLen; off += 4096) bytes[off] = 1;
+    munmap(map, kLen);
+  }
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> m;
+  Rng rng(0x5e7ab1e);
+  for (std::uint32_t i = 0; i < 20000; ++i) m[rng.below(50000)].push_back(i);
+  std::uint64_t sum = 0;
+  for (const auto& [k, v] : m) sum += k + v.size();
+  volatile std::uint64_t sink = sum;
+  (void)sink;
+  return static_cast<double>(now_ns() - t0);
+}
 
 // Order statistic with linear interpolation (q in [0, 1]).
 inline double quantile(std::vector<double> v, double q) {

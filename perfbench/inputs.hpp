@@ -27,11 +27,18 @@ struct Msg {
   std::uint32_t price = 0;
 };
 
-// One control-plane change: subscribe `sub`, or unsubscribe sub.port.
+// One control-plane change: subscribe `sub`, or unsubscribe sub.port
+// (`sub` is then the subscription that port holds).
 struct Change {
   bool subscribe = true;
   Sub sub;
 };
+
+// Probes aimed at the rule one change adds or removes: its symbol at the
+// threshold (no match) and just above it (match).
+inline std::vector<Msg> change_probes(const Change& c) {
+  return {{c.sub.sym, c.sub.thr}, {c.sub.sym, c.sub.thr + 1}};
+}
 
 // Shape of one workload's inputs.
 struct Shape {
@@ -268,19 +275,19 @@ inline Inputs generate(const Shape& sh, std::uint64_t seed) {
   // rule and the base set stays in place.
   std::uint16_t next_port = 1;
   for (const Sub& s : in.subs) next_port = std::max<std::uint16_t>(next_port, s.port + 1);
-  std::vector<std::uint16_t> added;
+  std::vector<Sub> added;
   for (std::size_t c = 0; c < sh.changes; ++c) {
     Change ch;
     if (c % 3 == 2 && !added.empty()) {
       ch.subscribe = false;
       const std::size_t k = (c * 7) % added.size();
-      ch.sub.port = added[k];
+      ch.sub = added[k];
       added.erase(added.begin() + static_cast<std::ptrdiff_t>(k));
     } else {
       ch.sub.sym = static_cast<std::uint32_t>(golden(c, kRoot2) * sh.symbols);
       ch.sub.thr = spread_thr(sh.subs + c);
       ch.sub.port = next_port++;
-      added.push_back(ch.sub.port);
+      added.push_back(ch.sub);
     }
     in.changes.push_back(ch);
   }

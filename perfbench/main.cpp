@@ -15,8 +15,9 @@
 // report correct: false.
 //
 // Every workload drives the three user-facing paths, each measured in
-// many short sections interleaved over the run and scaled by the
-// calibration kernel (calib.hpp):
+// many sections interleaved over the run (delivery as the quiet pass of
+// its calls, the rest scaled by the calibration kernels in calib.hpp; see
+// README, "Measurement method"):
 //   delivery  feed frames -> subscriber packets, batched and 2-worker
 //             parallel;
 //   update    one subscribe/unsubscribe -> committed and installed on
@@ -69,19 +70,23 @@ struct Workload {
   // Operations per second of --seconds, sized to fill a run on the
   // reference host.
   double batched_per_s, parallel_per_s, changes_per_s, recover_per_s;
-  std::size_t k_rec;  // changes in the journal the crash recovers
 };
+
+// Changes in the journal the crash recovers (after the base commit).
+constexpr std::size_t kRecoverChanges = 2;
+// Rounds of the set-up kernel; their median scales setup_s.
+constexpr int kSetupKernelRounds = 9;
 
 // subs, symbols, hosts, zipf, thr_max, price_max, msgs, ctl_subs, changes
 const Workload kWorkloads[] = {
     {"feed_zipf", {1000, 1000, 200, true, 1000, 300, 64000, 1000, 0},
-     false, true, false, 10.0, 10.0, 5.0, 0.5, 2},
+     false, true, false, 10.0, 10.0, 5.0, 0.5},
     {"feed_fanout", {20000, 4000, 200, false, 1000, 1000, 32000, 1000, 0},
-     false, true, true, 5.0, 5.0, 4.0, 0.35, 2},
+     false, true, true, 5.0, 5.0, 5.0, 0.35},
     {"churn_switch", {1000, 100, 0, false, 1000, 1000, 16000, 1000, 0},
-     false, false, false, 6.5, 6.5, 10.0, 1.0, 2},
+     false, false, false, 6.5, 6.5, 10.0, 1.0},
     {"churn_fabric", {4000, 400, 0, false, 1000, 1000, 8000, 4000, 0},
-     true, false, false, 3.5, 3.5, 0.4, 0.15, 2},
+     true, false, false, 3.5, 3.5, 0.4, 0.15},
 };
 
 struct Metric {
@@ -115,7 +120,7 @@ double peak_rss_mb() {
 enum class Task { kBatched, kParallel, kChange, kRecover };
 
 std::vector<Task> schedule(std::size_t nb, std::size_t np, std::size_t nc,
-                           std::size_t nr, std::size_t k_rec) {
+                           std::size_t nr) {
   std::vector<std::pair<double, Task>> v;
   auto spread = [&v](std::size_t n, Task t) {
     for (std::size_t i = 0; i < n; ++i)
@@ -130,9 +135,8 @@ std::vector<Task> schedule(std::size_t nb, std::size_t np, std::size_t nc,
   std::size_t cut = 0, seen = 0;
   for (const auto& [pos, t] : v) {
     tasks.push_back(t);
-    if (t == Task::kChange && ++seen == k_rec) cut = tasks.size();
+    if (t == Task::kChange && ++seen == kRecoverChanges) cut = tasks.size();
   }
-  if (k_rec == 0) cut = 0;
   const std::size_t tail = tasks.size() - cut;
   std::vector<Task> out(tasks.begin(), tasks.begin() + static_cast<std::ptrdiff_t>(cut));
   std::size_t next_r = 0;
@@ -227,26 +231,26 @@ std::string check_delivery(const Inputs& in, const Oracle& oracle,
 }
 
 // Every pass of one delivery mode makes the same process calls on the same
-// frames. ns[c] holds call c's time in every pass; msgs[c] the ingress
-// messages it carried.
+// frames. ns[c] holds call c's time in every pass, multiplied by that
+// pass's scale; msgs[c] the ingress messages it carried.
 struct CallSeries {
   std::vector<std::vector<double>> ns;
   std::vector<std::uint32_t> msgs;
 
-  void add(const Pass& pass) {
+  void add(const Pass& pass, double scale = 1.0) {
     ns.resize(pass.calls.size());
     msgs.resize(pass.calls.size());
     for (std::size_t c = 0; c < pass.calls.size(); ++c) {
-      ns[c].push_back(static_cast<double>(pass.calls[c].first));
+      ns[c].push_back(static_cast<double>(pass.calls[c].first) * scale);
       msgs[c] = pass.calls[c].second;
     }
   }
   std::size_t passes() const { return ns.empty() ? 0 : ns[0].size(); }
 };
 
-// Delivery figures of the quiet pass: each call's time is its lower decile
-// over all passes, so a call counts at the speed it reaches when nothing
-// else on the host interferes (see README, "Measurement method").
+// Delivery figures of the quiet pass: each call's scaled time is its lower
+// decile over all passes, so a call counts at the speed it reaches when
+// nothing else on the host interferes (see README, "Measurement method").
 struct Quiet {
   double msgs_per_s = 0, ns_p50 = 0, ns_p99 = 0;
 };
@@ -267,14 +271,35 @@ Quiet quiet(const CallSeries& s, std::size_t msgs) {
   return q;
 }
 
+// Sum over calls of each call's lower-decile time, in ns.
+double quiet_ns(const CallSeries& s) {
+  double total = 0;
+  for (const auto& t : s.ns) total += quantile(t, kQuietQuantile);
+  return total;
+}
+
+// Times fn(i) for every i in [0, n), in chunks of `chunk`, and adds the
+// chunk times to `s` as one pass of calls.
+template <class Fn>
+void time_chunks(CallSeries& s, std::size_t n, std::size_t chunk, Fn&& fn) {
+  Pass pass;
+  for (std::size_t b = 0; b < n; b += chunk) {
+    const std::size_t e = std::min(n, b + chunk);
+    const std::uint64_t t0 = now_ns();
+    for (std::size_t i = b; i < e; ++i) fn(i);
+    pass.calls.emplace_back(now_ns() - t0, static_cast<std::uint32_t>(e - b));
+  }
+  s.add(pass);
+}
+
 // Timing samples collected over the run.
 struct Samples {
   CallSeries batched, parallel;
   std::vector<double> pass_rate_raw;  // whole-pass msgs/s, for reference
   std::vector<double> update_ms, update_ms_raw, commit_ms, install_ms;
   std::vector<double> recover_ms, recover_ms_raw, open_ms, reconcile_ms;
-  // Traced run only.
-  std::vector<double> scan_ns, reframe_ns, traverse_ns, prefix_ns;
+  // Traced run only: data-path layer calls, timed like delivery calls.
+  CallSeries scan, reframe, traverse, prefix;
   std::vector<double> diff_ms, digest_ms, ops, reuse;
 };
 
@@ -319,9 +344,8 @@ int main(int argc, char** argv) {
   // ---- set-up: inputs, first compile, first install ----------------------
   const std::size_t nb = count(wl->batched_per_s, args.seconds, 3);
   const std::size_t np = count(wl->parallel_per_s, args.seconds, 3);
-  const std::size_t nc = count(wl->changes_per_s, args.seconds, 3);
+  const std::size_t nc = count(wl->changes_per_s, args.seconds, kRecoverChanges + 1);
   const std::size_t nr = count(wl->recover_per_s, args.seconds, 1);
-  const std::size_t k_rec = std::min(wl->k_rec, nc);
   Shape shape = wl->shape;
   shape.changes = nc;
 
@@ -376,8 +400,14 @@ int main(int argc, char** argv) {
   }
   auto data_b = make_data();
   auto data_p = make_data();
-  const double setup_s = static_cast<double>(now_ns() - g_start_ns) * 1e-9;
+  const double setup_raw_s = static_cast<double>(now_ns() - g_start_ns) * 1e-9;
   const double setup_rss_mb = peak_rss_mb();
+  // The cold set-up, scaled to the nominal speed of the set-up kernel
+  // timed right after it (see README, "Measurement method").
+  std::vector<double> setup_kernels;
+  for (int i = 0; i < kSetupKernelRounds; ++i) setup_kernels.push_back(setup_kernel_ns());
+  const double setup_kernel = median(setup_kernels);
+  const double setup_s = setup_raw_s * kNominalSetupKernelNs / setup_kernel;
   // Built after set-up: filling its 16 MiB chain is the benchmark's cost.
   Calibrator cal;
 
@@ -450,64 +480,64 @@ int main(int argc, char** argv) {
   std::unique_ptr<camus::util::MemStorage> crash_journal;
   std::uint64_t crash_digest = 0;
   std::unique_ptr<Oracle> crash_oracle;
-  if (k_rec == 0) {
-    crash_journal = std::make_unique<camus::util::MemStorage>(ctl->storage());
-    crash_digest = ctl->intended_digest();
-    crash_oracle = std::make_unique<Oracle>(live);
-  }
   std::size_t changes_done = 0;
 
   auto delivery_pass = [&](Mode mode) {
     DataPath& dp = mode == Mode::kBatched ? *data_b : *data_p;
+    // A batched pass's calls count at the core speed where the core kernel
+    // takes its nominal time. A parallel pass also runs on a worker's core,
+    // which the kernel does not see, so it stays unscaled.
+    const double kernel_before = mode == Mode::kBatched ? core_kernel_ns() : 0;
     const Pass pass = dp.run(mode, in.frames);
+    const double scale = mode == Mode::kBatched
+                             ? 2 * kNominalCoreKernelNs / (kernel_before + core_kernel_ns())
+                             : 1.0;
     ++attempted;
     if (digest(pass.out) != want_digest) {
       ++failed;
       fail("a timed pass did not repeat the first pass's output");
       return;
     }
-    (mode == Mode::kBatched ? sm.batched : sm.parallel).add(pass);
+    (mode == Mode::kBatched ? sm.batched : sm.parallel).add(pass, scale);
     if (mode == Mode::kBatched)
       sm.pass_rate_raw.push_back(static_cast<double>(in.msgs.size()) * 1e9 /
                                  static_cast<double>(pass.busy_ns));
     if (!args.trace || mode != Mode::kBatched) return;
-    // Layer timings, each around calls into one public function.
+    // Layer timings, each around calls into one public function, in
+    // chunks the size of a delivery call, so each reads as a quiet pass too.
     const auto& cpl = layer_sw.compiled();
     std::uint64_t sink = 0;
-    sm.scan_ns.push_back(cal.time([&] {
-      camus::proto::MarketDataView view;
-      std::vector<std::uint32_t> offs;
-      for (const auto& f : in.frames) {
-        offs.clear();
-        sink += camus::proto::scan_market_data_packet(f, view, offs);
-      }
-    }).second / static_cast<double>(in.frames.size()));
-    if (!li.reframes.empty())
-      sm.reframe_ns.push_back(cal.time([&] {
-        std::vector<std::uint8_t> buf;
-        for (const auto& r : li.reframes) {
-          camus::proto::build_market_frame_raw(li.views[r.frame], in.frames[r.frame],
-                                               r.offsets, buf);
-          sink += buf.size();
-        }
-      }).second / static_cast<double>(li.reframes.size()));
-    sm.traverse_ns.push_back(cal.time([&] {
-      for (const auto& f : li.fields) sink += cpl.traverse(f, no_states);
-    }).second / static_cast<double>(li.fields.size()));
-    sm.prefix_ns.push_back(cal.time([&] {
-      constexpr std::size_t W = camus::table::CompiledPipeline::kBlockWidth;
-      constexpr std::size_t K = camus::table::CompiledPipeline::kMaxPrefix;
+    camus::proto::MarketDataView view;
+    std::vector<std::uint32_t> offs;
+    time_chunks(sm.scan, in.frames.size(), kBatchFrames, [&](std::size_t i) {
+      offs.clear();
+      sink += camus::proto::scan_market_data_packet(in.frames[i], view, offs);
+    });
+    std::vector<std::uint8_t> buf;
+    time_chunks(sm.reframe, li.reframes.size(), kBatchFrames, [&](std::size_t i) {
+      const auto& r = li.reframes[i];
+      camus::proto::build_market_frame_raw(li.views[r.frame], in.frames[r.frame],
+                                           r.offsets, buf);
+      sink += buf.size();
+    });
+    constexpr std::size_t kChunkMsgs = kBatchFrames * kMsgsPerFrame;
+    time_chunks(sm.traverse, li.fields.size(), kChunkMsgs, [&](std::size_t i) {
+      sink += cpl.traverse(li.fields[i], no_states);
+    });
+    constexpr std::size_t W = camus::table::CompiledPipeline::kBlockWidth;
+    constexpr std::size_t K = camus::table::CompiledPipeline::kMaxPrefix;
+    static_assert(kChunkMsgs % W == 0);
+    time_chunks(sm.prefix, (li.fields.size() + W - 1) / W, kChunkMsgs / W, [&](std::size_t blk) {
       std::uint64_t keys[W * K] = {};
       std::uint32_t states[W] = {};
-      for (std::size_t b = 0; b < li.fields.size(); b += W) {
-        const std::size_t n = std::min(W, li.fields.size() - b);
-        for (std::size_t i = 0; i < n; ++i)
-          cpl.prefix_key(li.fields[b + i], no_states, keys + i * K);
-        cpl.run_prefix_block(keys, n, states);
-        for (std::size_t i = 0; i < n; ++i)
-          sink += cpl.finish(states[i], li.fields[b + i], no_states);
-      }
-    }).second / static_cast<double>(li.fields.size()));
+      const std::size_t b = blk * W;
+      const std::size_t n = std::min(W, li.fields.size() - b);
+      for (std::size_t i = 0; i < n; ++i)
+        cpl.prefix_key(li.fields[b + i], no_states, keys + i * K);
+      cpl.run_prefix_block(keys, n, states);
+      for (std::size_t i = 0; i < n; ++i)
+        sink += cpl.finish(states[i], li.fields[b + i], no_states);
+    });
     if (sink == 42) std::fprintf(stderr, " ");
   };
 
@@ -548,7 +578,10 @@ int main(int argc, char** argv) {
     if (ctl->subscriptions() != live.count())
       fail("controller holds " + std::to_string(ctl->subscriptions()) +
            " subscriptions, oracle " + std::to_string(live.count()));
-    if (std::size_t bad = probe_mismatches(in, env, live, ctl->leaves(),
+    // The seeded probes, plus two aimed at the rule this change touched.
+    std::vector<Msg> probes = in.probes;
+    for (const Msg& m : change_probes(c)) probes.push_back(m);
+    if (std::size_t bad = probe_mismatches(in, probes, env, live, ctl->leaves(),
                                            [&](const auto& f) { return ctl->deliver(f); });
         bad != 0)
       fail(std::to_string(bad) + " probes differ after change " +
@@ -578,7 +611,7 @@ int main(int argc, char** argv) {
       }).second * 1e-6);
       if (n == 0) fail("empty stage digests");
     }
-    if (changes_done == k_rec) {
+    if (changes_done == kRecoverChanges) {
       crash_journal = std::make_unique<camus::util::MemStorage>(ctl->storage());
       crash_digest = ctl->intended_digest();
       crash_oracle = std::make_unique<Oracle>(live);
@@ -590,7 +623,7 @@ int main(int argc, char** argv) {
     const auto rt = ctl->recover(
         *crash_journal, crash_digest, crash_oracle->count(), cal,
         [&](const ProbeFn& deliver) {
-          return probe_mismatches(in, env, *crash_oracle, ctl->leaves(), deliver);
+          return probe_mismatches(in, in.probes, env, *crash_oracle, ctl->leaves(), deliver);
         });
     if (!rt.ok) {
       ++failed;
@@ -603,7 +636,7 @@ int main(int argc, char** argv) {
     sm.reconcile_ms.push_back(rt.reconcile_scaled * 1e-6);
   };
 
-  for (Task t : schedule(nb, np, nc, nr, k_rec)) {
+  for (Task t : schedule(nb, np, nc, nr)) {
     switch (t) {
       case Task::kBatched: delivery_pass(Mode::kBatched); break;
       case Task::kParallel: delivery_pass(Mode::kParallel); break;
@@ -626,18 +659,21 @@ int main(int argc, char** argv) {
       {"deliver_ns_p99", qb.ns_p99, "ns/msg"},
       {"parallel_msgs_per_s", qp.msgs_per_s, "msgs/s"},
       {"update_ms_p50", median(sm.update_ms), "ms"},
+      {"update_ms_p90", quantile(sm.update_ms, 0.9), "ms"},
       // Every recovery of a run repeats one identical operation, so the
       // lower quartile is its least disturbed time.
       {"recover_ms", quantile(sm.recover_ms, 0.25), "ms"},
   };
   // Reference figures (stderr): raw wall-clock medians and sample counts.
   std::fprintf(stderr,
-               "raw: deliver_msgs_per_s=%.6g update_ms_p50=%.6g "
-               "recover_ms=%.6g peak_rss_mb=%.6g samples: batched=%zu "
+               "raw: setup_s=%.6g deliver_msgs_per_s=%.6g update_ms_p50=%.6g "
+               "update_ms_p90=%.6g recover_ms=%.6g peak_rss_mb=%.6g "
+               "setup_kernel_ns=%.0f samples: batched=%zu "
                "parallel=%zu changes=%zu recoveries=%zu; kernel ns "
                "p10/p50/p90 %.0f/%.0f/%.0f\n",
-               median(sm.pass_rate_raw), median(sm.update_ms_raw),
-               median(sm.recover_ms_raw), peak_rss_mb(), sm.batched.passes(),
+               setup_raw_s, median(sm.pass_rate_raw), median(sm.update_ms_raw),
+               quantile(sm.update_ms_raw, 0.9), quantile(sm.recover_ms_raw, 0.25),
+               peak_rss_mb(), setup_kernel, sm.batched.passes(),
                sm.parallel.passes(), sm.update_ms.size(), sm.recover_ms.size(),
                quantile(cal.kernels(), 0.1), median(cal.kernels()),
                quantile(cal.kernels(), 0.9));
@@ -794,11 +830,14 @@ int main(int argc, char** argv) {
     return v.empty() ? 0.0 : s / static_cast<double>(v.size());
   };
   const double n_data = static_cast<double>(std::max<std::size_t>(1, data_rules.size()));
+  auto per = [](double ns, std::size_t n) {
+    return ns / static_cast<double>(std::max<std::size_t>(1, n));
+  };
   layer = {
-      {"proto.scan_ns_per_frame", median(sm.scan_ns), "ns"},
-      {"proto.reframe_ns_per_pkt", median(sm.reframe_ns), "ns"},
-      {"table.traverse_ns_per_msg", median(sm.traverse_ns), "ns"},
-      {"table.prefix_block_ns_per_msg", median(sm.prefix_ns), "ns"},
+      {"proto.scan_ns_per_frame", per(quiet_ns(sm.scan), in.frames.size()), "ns"},
+      {"proto.reframe_ns_per_pkt", per(quiet_ns(sm.reframe), li.reframes.size()), "ns"},
+      {"table.traverse_ns_per_msg", per(quiet_ns(sm.traverse), li.fields.size()), "ns"},
+      {"table.prefix_block_ns_per_msg", per(quiet_ns(sm.prefix), li.fields.size()), "ns"},
       {"table.arena_bytes", static_cast<double>(arena), "bytes"},
       {"table.entries", static_cast<double>(entries), "count"},
       {"table.diff_ms", median(sm.diff_ms), "ms"},

@@ -239,15 +239,15 @@ struct ProbeEnv {
 };
 
 // Checks the ports a control path's switches deliver for every probe
-// against the oracle; returns the number of mismatching probes.
+// message against the oracle; returns the number of mismatching probes.
 using ProbeFn = std::function<std::vector<std::pair<std::size_t, std::uint16_t>>(
     const std::vector<std::uint64_t>&)>;
 
-inline std::size_t probe_mismatches(const Inputs& in, const ProbeEnv& env,
-                                    const Oracle& oracle, std::size_t leaves,
-                                    const ProbeFn& deliver) {
+inline std::size_t probe_mismatches(const Inputs& in, const std::vector<Msg>& probes,
+                                    const ProbeEnv& env, const Oracle& oracle,
+                                    std::size_t leaves, const ProbeFn& deliver) {
   std::size_t bad = 0;
-  for (const Msg& m : in.probes) {
+  for (const Msg& m : probes) {
     auto got = deliver(env.make(in, m));
     std::vector<std::uint16_t> ports;
     for (const auto& [leaf, port] : got) {
