@@ -2,13 +2,14 @@
 // control plane. Runs N scenarios of subscription churn with controller
 // crashes, switch reboots, control-channel partitions, and stale-epoch
 // writes, checking the four recovery invariants after every disruption
-// (see src/fault/nemesis.hpp). Exits nonzero on any violation, so CI can
-// gate on it directly.
+// (see src/fault/nemesis.hpp). One campaign loop drives either plant:
+// by default one switch behind a DurableController; with --fabric a
+// FabricController over a netsim spine–leaf fabric, which adds crashes
+// BETWEEN per-switch commits, per-node reboots, and all-or-nothing
+// aborts of partitioned cross-switch installs.
 //
-// --fabric runs the spine–leaf variant instead (src/fault/fabric_nemesis.hpp):
-// a FabricController over a netsim fabric, with crashes BETWEEN per-switch
-// commits, per-node reboots, install partitions (all-or-nothing aborts),
-// and the I1–I4 invariants checked fabric-wide.
+// Exits 1 on any violation, so CI can gate on it directly, and 2 on a bad
+// flag or a degenerate topology (--spines 0 or --leaves 0: F151).
 //
 // Usage: camus-nemesis [--fabric] [--seed N] [--scenarios N] [--steps N]
 //                      [--probes N] [--leaves N] [--spines N] [--json]
@@ -18,43 +19,7 @@
 #include <cstring>
 #include <string>
 
-#include "fault/fabric_nemesis.hpp"
 #include "fault/nemesis.hpp"
-
-namespace {
-
-int run_fabric(const camus::fault::FabricNemesisOptions& opts, bool json) {
-  const camus::fault::FabricNemesisStats stats =
-      camus::fault::run_fabric_nemesis(opts);
-
-  if (json) {
-    std::printf("%s\n", stats.to_json().c_str());
-  } else {
-    std::printf(
-        "fabric-nemesis: %zu scenarios, %zu steps | %zu commits, %zu "
-        "installs | %zu crashes (%zu mid-commit, %zu from snapshot), "
-        "%zu leaf reboots, %zu spine reboots | %zu partitions (%zu atomic "
-        "aborts), %zu stale writes (%zu rejected) | %zu reconciles, %zu "
-        "repairs (%zu full) | %zu probes\n",
-        stats.scenarios, stats.steps, stats.commits, stats.installs,
-        stats.crashes, stats.crashes_mid_commit,
-        stats.recoveries_from_snapshot, stats.leaf_reboots,
-        stats.spine_reboots, stats.partitions, stats.all_or_nothing_aborts,
-        stats.stale_writes, stats.stale_rejected, stats.reconciles,
-        stats.repairs, stats.full_reprograms, stats.probes);
-  }
-
-  if (stats.violations > 0) {
-    std::fprintf(stderr, "VIOLATIONS: %zu\n", stats.violations);
-    for (const std::string& d : stats.violation_details)
-      std::fprintf(stderr, "  %s\n", d.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "all invariants held\n");
-  return 0;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   camus::fault::NemesisOptions opts;
@@ -98,12 +63,33 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (fabric) return run_fabric(fopts, json);
-
-  const camus::fault::NemesisStats stats = camus::fault::run_nemesis(opts);
+  camus::fault::NemesisStats stats;
+  if (fabric) {
+    auto ran = camus::fault::run_fabric_nemesis(fopts);
+    if (!ran.ok()) {
+      std::fprintf(stderr, "%s\n", ran.error().to_string().c_str());
+      return 2;
+    }
+    stats = std::move(ran).take();
+  } else {
+    stats = camus::fault::run_nemesis(opts);
+  }
 
   if (json) {
     std::printf("%s\n", stats.to_json().c_str());
+  } else if (fabric) {
+    std::printf(
+        "fabric-nemesis: %zu scenarios, %zu steps | %zu commits, %zu "
+        "installs | %zu crashes (%zu mid-commit, %zu from snapshot), "
+        "%zu leaf reboots, %zu spine reboots | %zu partitions (%zu atomic "
+        "aborts), %zu stale writes (%zu rejected) | %zu reconciles, %zu "
+        "repairs (%zu full) | %zu probes\n",
+        stats.scenarios, stats.steps, stats.commits, stats.installs,
+        stats.crashes, stats.crashes_mid_commit,
+        stats.recoveries_from_snapshot, stats.leaf_reboots,
+        stats.spine_reboots, stats.partitions, stats.partition_aborts,
+        stats.stale_writes, stats.stale_rejected, stats.reconciles,
+        stats.repairs, stats.full_reprograms, stats.probes);
   } else {
     std::printf(
         "nemesis: %zu scenarios, %zu steps | %zu commits, %zu installs | "

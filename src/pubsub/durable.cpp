@@ -1,101 +1,41 @@
 #include "pubsub/durable.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <sstream>
 #include <utility>
 
-#include "lang/parser.hpp"
 #include "table/serialize.hpp"
 
 namespace camus::pubsub {
 
 using util::Error;
-using util::RecordType;
 using util::Result;
-
-namespace {
-
-Error not_open() {
-  return Error{"DurableController used before a successful open()", 0, 0,
-               "E142"};
-}
-
-Error bad_payload(RecordType type, const std::string& payload) {
-  return Error{"malformed journal payload for record type " +
-                   std::to_string(static_cast<int>(type)) + ": '" + payload +
-                   "'",
-               0, 0, "J011"};
-}
-
-// Parses leading unsigned fields off an istringstream; false on failure.
-bool read_u64(std::istringstream& is, std::uint64_t& out) {
-  return static_cast<bool>(is >> out);
-}
-
-}  // namespace
 
 DurableController::DurableController(spec::Schema schema,
                                      util::StableStorage& storage,
                                      compiler::CompileOptions opts)
-    : schema_(std::move(schema)),
-      opts_(opts),
-      journal_(storage),
-      inc_(schema_, opts_) {}
+    : DurableCore(std::move(schema), storage), inc_(this->schema(), opts) {}
 
-Result<bool> DurableController::apply_subscribe(std::uint16_t port,
-                                                int priority,
-                                                const std::string& text) {
-  auto parsed = lang::parse_rule(text);
-  if (!parsed.ok()) return parsed.error();
-  auto bound = lang::bind_rule(parsed.value(), schema_);
-  if (!bound.ok()) return bound.error();
-  Sub sub;
-  sub.port = port;
-  sub.priority = priority;
-  sub.text = text;
-  sub.ports = bound.value().actions.ports;
-  sub.id = inc_.add(std::move(bound).take());
-  subs_.push_back(std::move(sub));
-  return true;
+DurableCore::RuleId DurableController::add_rule(lang::BoundRule rule) {
+  return inc_.add(std::move(rule));
 }
 
-std::size_t DurableController::apply_unsubscribe(std::uint16_t port) {
-  const std::size_t before = subs_.size();
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < subs_.size(); ++i) {
-    const bool drop =
-        subs_[i].ports.size() == 1 && subs_[i].ports[0] == port;
-    if (drop) {
-      inc_.remove(subs_[i].id);
-      continue;
-    }
-    if (w != i) subs_[w] = std::move(subs_[i]);
-    ++w;
-  }
-  subs_.resize(w);
-  return before - subs_.size();
-}
+void DurableController::remove_rule(RuleId id) { inc_.remove(id); }
 
-Result<std::uint64_t> DurableController::apply_commit(Delta* out) {
-  const auto t0 = std::chrono::steady_clock::now();
+Result<std::uint64_t> DurableController::compile(bool replay) {
   auto d = inc_.commit();
   if (!d.ok()) return d.error();
-  if (out) *out = std::move(d).take();
+  if (!replay) delta_ = std::move(d).take();
   auto p = inc_.pipeline();
   if (!p.ok()) return p.error();
   // Snapshot the commit as the controller's intent: install-abort rollback
   // only rewinds inc_'s diff base, never this.
   intended_ = *p.value();
-  // Feed the CheckpointPolicy's cost model: replaying a kCommit reruns
-  // this exact work, so its measured cost is the best replay estimate.
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  commit_seconds_ewma_ = commit_seconds_ewma_ == 0
-                             ? secs
-                             : 0.75 * commit_seconds_ewma_ + 0.25 * secs;
-  return table::pipeline_digest(*p.value());
+  return table::pipeline_digest(*intended_);
+}
+
+Result<DurableController::Delta> DurableController::commit() {
+  auto digest = commit_and_journal();
+  if (!digest.ok()) return digest.error();
+  return std::move(delta_);
 }
 
 Result<const table::Pipeline*> DurableController::intended() const {
@@ -105,236 +45,13 @@ Result<const table::Pipeline*> DurableController::intended() const {
   return &*intended_;
 }
 
-std::string DurableController::snapshot_payload() const {
-  std::ostringstream os;
-  os << "epoch " << epoch_ << "\n"
-     << "commits " << commit_seq_ << "\n"
-     << "installs " << install_seq_ << "\n";
-  for (const Sub& s : subs_)
-    os << "sub " << s.port << " " << s.priority << " " << s.text << "\n";
-  return os.str();
-}
-
-Result<bool> DurableController::replay_snapshot(const std::string& payload) {
-  std::istringstream lines(payload);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.empty()) continue;
-    std::istringstream is(line);
-    std::string tag;
-    is >> tag;
-    if (tag == "epoch" || tag == "commits" || tag == "installs") {
-      std::uint64_t v = 0;
-      if (!read_u64(is, v))
-        return bad_payload(RecordType::kSnapshot, line);
-      if (tag == "epoch") epoch_ = v;
-      if (tag == "commits") commit_seq_ = v;
-      if (tag == "installs") install_seq_ = v;
-    } else if (tag == "sub") {
-      std::uint64_t port = 0, prio_raw = 0;
-      long long prio = 0;
-      if (!(is >> port >> prio))
-        return bad_payload(RecordType::kSnapshot, line);
-      (void)prio_raw;
-      std::string text;
-      std::getline(is, text);
-      if (!text.empty() && text.front() == ' ') text.erase(0, 1);
-      auto applied = apply_subscribe(static_cast<std::uint16_t>(port),
-                                     static_cast<int>(prio), text);
-      if (!applied.ok()) return applied.error();
-    } else {
-      return bad_payload(RecordType::kSnapshot, line);
-    }
-  }
-  // The snapshot captured committed state: rebuild the intended pipeline
-  // (fresh state numbering — see the header's recovery-fidelity note).
-  if (commit_seq_ > 0) {
-    auto committed = apply_commit(nullptr);
-    if (!committed.ok()) return committed.error();
-  }
-  return true;
-}
-
-Result<RecoveryInfo> DurableController::open() {
-  if (opened_)
-    return Error{"DurableController::open() called twice", 0, 0, "E142"};
-  auto replayed = journal_.replay();
-  if (!replayed.ok()) return replayed.error();
-  const util::ReplayResult& rep = replayed.value();
-
-  recovery_ = RecoveryInfo{};
-  recovery_.torn_bytes = rep.torn_bytes;
-  recovery_.recovered = !rep.records.empty();
-
-  std::uint64_t max_epoch = 0;
-  std::optional<std::uint64_t> in_flight;
-
-  for (const util::Record& rec : rep.records) {
-    ++recovery_.records_replayed;
-    std::istringstream is(rec.payload);
-    switch (rec.type) {
-      case RecordType::kSnapshot: {
-        recovery_.from_snapshot = true;
-        auto ok = replay_snapshot(rec.payload);
-        if (!ok.ok()) return ok.error();
-        max_epoch = std::max(max_epoch, epoch_);
-        break;
-      }
-      case RecordType::kEpoch: {
-        std::uint64_t e = 0;
-        if (!read_u64(is, e)) return bad_payload(rec.type, rec.payload);
-        max_epoch = std::max(max_epoch, e);
-        break;
-      }
-      case RecordType::kSubscribe: {
-        std::uint64_t port = 0;
-        long long prio = 0;
-        if (!(is >> port >> prio)) return bad_payload(rec.type, rec.payload);
-        std::string text;
-        std::getline(is, text);
-        if (!text.empty() && text.front() == ' ') text.erase(0, 1);
-        auto applied = apply_subscribe(static_cast<std::uint16_t>(port),
-                                       static_cast<int>(prio), text);
-        if (!applied.ok()) return applied.error();
-        break;
-      }
-      case RecordType::kUnsubscribe: {
-        std::uint64_t port = 0;
-        if (!read_u64(is, port)) return bad_payload(rec.type, rec.payload);
-        apply_unsubscribe(static_cast<std::uint16_t>(port));
-        break;
-      }
-      case RecordType::kCommit: {
-        std::uint64_t seq = 0, digest = 0;
-        if (!read_u64(is, seq) || !read_u64(is, digest))
-          return bad_payload(rec.type, rec.payload);
-        auto got = apply_commit(nullptr);
-        if (!got.ok()) return got.error();
-        commit_seq_ = seq;
-        ++recovery_.commits_replayed;
-        if (got.value() != digest) {
-          ++recovery_.digest_mismatches;
-          // Exact replay is deterministic: a divergence means the journal
-          // or the compiler lied. After a snapshot, state numbering is
-          // legitimately fresh and digests shift — count, don't fail.
-          if (!recovery_.from_snapshot)
-            return Error{"replayed commit " + std::to_string(seq) +
-                             " digest mismatch (journal corruption or "
-                             "non-deterministic compiler)",
-                         0, 0, "J010"};
-        }
-        break;
-      }
-      case RecordType::kInstallBegin: {
-        std::uint64_t seq = 0;
-        if (!read_u64(is, seq)) return bad_payload(rec.type, rec.payload);
-        install_seq_ = std::max(install_seq_, seq);
-        in_flight = seq;
-        break;
-      }
-      case RecordType::kInstallCommit:
-      case RecordType::kInstallAbort: {
-        in_flight.reset();
-        break;
-      }
-    }
-  }
-
-  epoch_ = max_epoch + 1;
-  recovery_.epoch = epoch_;
-  recovery_.subscriptions = subs_.size();
-  auto journaled = journal_.append(RecordType::kEpoch,
-                                   std::to_string(epoch_));
-  if (!journaled.ok()) return journaled.error();
-
-  if (in_flight) {
-    // The crash hit between kInstallBegin and its outcome. Resolve by
-    // journaling the abort — whether the commit landed or not, the next
-    // reconcile() computes the exact repair from switch digests, so the
-    // recovery is deterministic either way.
-    recovery_.install_in_flight = true;
-    recovery_.in_flight_install = *in_flight;
-    auto aborted = journal_.append(RecordType::kInstallAbort,
-                                   std::to_string(*in_flight));
-    if (!aborted.ok()) return aborted.error();
-  }
-
-  // Seed the CheckpointPolicy with what a successor would have to replay:
-  // everything we just replayed, plus the kEpoch (and possible abort) we
-  // appended.
-  records_since_checkpoint_ =
-      recovery_.records_replayed + 1 + (in_flight ? 1 : 0);
-  commits_since_checkpoint_ = recovery_.commits_replayed;
-
-  opened_ = true;
-  return recovery_;
-}
-
-Result<bool> DurableController::subscribe(std::uint16_t port,
-                                          std::string_view rule_text,
-                                          int priority) {
-  if (!opened_) return not_open();
-  std::string text(rule_text);
-  // Interest-only form: append the subscriber's forwarding action (same
-  // contract as Controller::subscribe).
-  if (text.find(':') == std::string::npos)
-    text += " : fwd(" + std::to_string(port) + ")";
-  // Validate BEFORE journaling — a rejected rule must not pollute the log
-  // (replay re-binds every journaled rule and treats failure as fatal).
-  auto parsed = lang::parse_rule(text);
-  if (!parsed.ok()) return parsed.error();
-  auto bound = lang::bind_rule(parsed.value(), schema_);
-  if (!bound.ok()) return bound.error();
-  // WAL: journal, sync, then mutate memory.
-  std::ostringstream payload;
-  payload << port << " " << priority << " " << text;
-  auto journaled = journal_.append(RecordType::kSubscribe, payload.str());
-  if (!journaled.ok()) return journaled.error();
-  ++records_since_checkpoint_;
-  return apply_subscribe(port, priority, text);
-}
-
-Result<std::size_t> DurableController::unsubscribe(std::uint16_t port) {
-  if (!opened_) return not_open();
-  // Pure query first: a no-op unsubscribe journals nothing.
-  const std::size_t matching = static_cast<std::size_t>(std::count_if(
-      subs_.begin(), subs_.end(), [port](const Sub& s) {
-        return s.ports.size() == 1 && s.ports[0] == port;
-      }));
-  if (matching == 0) return std::size_t{0};
-  auto journaled = journal_.append(RecordType::kUnsubscribe,
-                                   std::to_string(port));
-  if (!journaled.ok()) return journaled.error();
-  ++records_since_checkpoint_;
-  return apply_unsubscribe(port);
-}
-
-Result<DurableController::Delta> DurableController::commit() {
-  if (!opened_) return not_open();
-  // The compile is pure in-memory: a crash before the journal append just
-  // loses an uncommitted compile, which replay correctly omits.
-  Delta delta;
-  auto digest = apply_commit(&delta);
-  if (!digest.ok()) return digest.error();
-  ++commit_seq_;
-  std::ostringstream payload;
-  payload << commit_seq_ << " " << digest.value();
-  auto journaled = journal_.append(RecordType::kCommit, payload.str());
-  if (!journaled.ok()) return journaled.error();
-  ++records_since_checkpoint_;
-  ++commits_since_checkpoint_;
-  auto compacted = maybe_auto_checkpoint();
-  if (!compacted.ok()) return compacted.error();
-  return delta;
-}
-
 Result<InstallReport> DurableController::install(TwoPhaseInstaller& installer,
                                                  const Delta& delta,
                                                  const fault::Plan* faults,
                                                  std::size_t chunk_bytes,
                                                  int max_attempts,
                                                  int chunk_retries) {
-  if (!opened_) return not_open();
+  if (!is_open()) return not_open();
   auto intended_pipe = intended();
   if (!intended_pipe.ok()) return intended_pipe.error();
 
@@ -342,26 +59,20 @@ Result<InstallReport> DurableController::install(TwoPhaseInstaller& installer,
   const std::string image = full ? table::serialize_pipeline(
                                        *intended_pipe.value())
                                  : table::serialize_ops(delta.ops);
-  ++install_seq_;
-  std::ostringstream begin;
-  begin << install_seq_ << " " << (full ? "full" : "ops") << " "
-        << util::crc32(image);
-  auto journaled = journal_.append(RecordType::kInstallBegin, begin.str());
+  auto journaled =
+      journal_install_begin(std::string(full ? "full" : "ops") + " " +
+                            std::to_string(util::crc32(image)));
   if (!journaled.ok()) return journaled.error();
 
-  installer.set_epoch(epoch_);
+  installer.set_epoch(epoch());
   InstallReport report =
       full ? installer.install(*intended_pipe.value(), faults, chunk_bytes,
                                max_attempts, chunk_retries)
            : installer.apply_delta(delta.ops, faults, chunk_bytes,
                                    max_attempts, chunk_retries);
 
-  const RecordType outcome = report.committed ? RecordType::kInstallCommit
-                                              : RecordType::kInstallAbort;
-  auto recorded =
-      journal_.append(outcome, std::to_string(install_seq_));
+  auto recorded = journal_install_end(report.committed);
   if (!recorded.ok()) return recorded.error();
-  records_since_checkpoint_ += 2;  // kInstallBegin + outcome
 
   if (!report.committed) {
     // The switch kept last-good: roll the incremental diff base back to
@@ -375,13 +86,12 @@ Result<InstallReport> DurableController::install(TwoPhaseInstaller& installer,
 Result<ReconcileReport> DurableController::reconcile(
     TwoPhaseInstaller& installer, const fault::Plan* faults,
     std::size_t chunk_bytes, int max_attempts, int chunk_retries) {
-  if (!opened_) return not_open();
-  switchsim::Switch& sw = installer.target();
+  if (!is_open()) return not_open();
 
   // Fence first: from here on the predecessor's stragglers bounce (E140).
-  auto fenced = sw.fence(epoch_);
+  auto fenced = installer.target().fence(epoch());
   if (!fenced.ok()) return fenced.error();
-  installer.set_epoch(epoch_);
+  installer.set_epoch(epoch());
 
   // The intended program = the last journaled commit (NOT inc_'s diff
   // base, which an aborted install rewinds to the switch's last-good).
@@ -391,95 +101,12 @@ Result<ReconcileReport> DurableController::reconcile(
   if (intended_) intended = *intended_;
   intended.finalize();
 
-  ReconcileReport report;
-  report.total_entries = intended.total_entries();
-
-  // Anti-entropy handshake: the switch reports per-stage digests; only
-  // diverged stages matter. Digest equality short-circuits the whole
-  // pass — an in-sync switch costs one digest exchange, zero entries.
-  const auto have_digests = sw.stage_digests();
-  const auto want_digests = table::stage_digests(intended);
-  for (const table::StageDigest& w : want_digests) {
-    const auto it = std::find_if(
-        have_digests.begin(), have_digests.end(),
-        [&](const table::StageDigest& h) { return h.table == w.table; });
-    if (it == have_digests.end() || it->digest != w.digest)
-      ++report.diverged_stages;
-  }
-  for (const table::StageDigest& h : have_digests) {
-    const auto it = std::find_if(
-        want_digests.begin(), want_digests.end(),
-        [&](const table::StageDigest& w) { return w.table == h.table; });
-    if (it == want_digests.end()) ++report.diverged_stages;
-  }
-
-  if (sw.program_digest() == table::pipeline_digest(intended)) {
-    report.in_sync = true;
-    report.reused_entries = report.total_entries;
-    installer.resync_from_switch();
-    return report;
-  }
-
-  // Minimal repair: the same diff currency as live churn deltas
-  // (table::diff_pipelines), so reconciliation and the incremental
-  // compiler can never disagree about what an update is.
-  const table::Pipeline have = sw.pipeline_snapshot();
-  table::PipelineDiff diff = table::diff_pipelines(&have, intended);
-  report.reused_entries = diff.reused_entries;
-  report.total_entries = diff.total_entries;
-
-  if (diff.requires_reprogram) {
-    report.full_reprogram = true;
-    report.install = installer.install(intended, faults, chunk_bytes,
-                                       max_attempts, chunk_retries);
-  } else {
-    // Re-seed the installer's dry-run base from the switch's actual
-    // program so the repair ops apply against reality.
-    installer.resync_from_switch();
-    report.repair_ops = diff.ops.size();
-    report.install = installer.apply_delta(diff.ops, faults, chunk_bytes,
-                                           max_attempts, chunk_retries);
-  }
-  report.repaired = report.install.committed;
-  if (report.repaired) {
-    // The switch now runs the intended program; make it the diff base.
-    inc_.restore_installed(std::move(intended));
-  }
+  ReconcileReport report = reconcile_switch(installer, intended, faults,
+                                            chunk_bytes, max_attempts,
+                                            chunk_retries);
+  // The switch now runs the intended program; make it the diff base.
+  if (report.repaired) inc_.restore_installed(std::move(intended));
   return report;
-}
-
-Result<bool> DurableController::checkpoint() {
-  if (!opened_) return not_open();
-  const util::Record rec{RecordType::kSnapshot, snapshot_payload()};
-  auto compacted = journal_.compact(std::span<const util::Record>(&rec, 1));
-  if (!compacted.ok()) return compacted;
-  // Replay now starts at the snapshot: one record, and one recompile when
-  // committed state exists.
-  records_since_checkpoint_ = 1;
-  commits_since_checkpoint_ = commit_seq_ > 0 ? 1 : 0;
-  return compacted;
-}
-
-double DurableController::estimated_replay_seconds() const noexcept {
-  // Commit records rerun a full incremental compile on replay; charge
-  // them the measured EWMA (or the generic record cost until the first
-  // measurement lands). Everything else is a parse + bind.
-  const double per_commit = commit_seconds_ewma_ > 0
-                                ? commit_seconds_ewma_
-                                : policy_.per_record_seconds;
-  return static_cast<double>(records_since_checkpoint_) *
-             policy_.per_record_seconds +
-         static_cast<double>(commits_since_checkpoint_) * per_commit;
-}
-
-Result<bool> DurableController::maybe_auto_checkpoint() {
-  if (policy_.max_replay_seconds <= 0) return false;
-  if (records_since_checkpoint_ < policy_.min_records) return false;
-  if (estimated_replay_seconds() <= policy_.max_replay_seconds) return false;
-  auto cp = checkpoint();
-  if (!cp.ok()) return cp.error();
-  ++auto_checkpoints_;
-  return true;
 }
 
 }  // namespace camus::pubsub

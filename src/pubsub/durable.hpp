@@ -1,54 +1,21 @@
-// Crash-safe control plane: a controller whose every externally visible
-// decision is write-ahead journaled (util::Journal), so a crash at ANY
-// point — mid-subscribe, mid-commit, mid-install — recovers to the exact
-// intended state by replay, and a restarted controller resumes programming
-// its switch safely behind a fenced epoch.
+// Crash-safe control plane for one switch: the DurableCore journal
+// protocol (durable_core.hpp) with an incremental compile and a single
+// epoch-fenced installer.
 //
-// Protocol (journal record per step, WAL discipline: journal first, act
-// second):
-//
-//   open()        replay journal -> re-apply subscribe/unsubscribe ->
-//                 re-run commits at recorded boundaries (digests checked,
-//                 J010 on divergence) -> adopt epoch = last + 1 -> journal
-//                 kEpoch. A half-staged install (kInstallBegin without a
-//                 matching commit/abort) is resolved by journaling
-//                 kInstallAbort: the switch either has the install (commit
-//                 landed) or kept last-good (it didn't) — either way
-//                 reconcile() computes the exact repair from digests, so
-//                 the resolution is deterministic without knowing which.
-//   subscribe     journal kSubscribe "port prio text" -> bind -> inc.add
-//   unsubscribe   journal kUnsubscribe "port" -> inc.remove (same
-//                 single-port filter as Controller::unsubscribe)
-//   commit        inc.commit() (pure in-memory; crash before journaling
-//                 simply loses the uncommitted compile) -> journal kCommit
-//                 "seq digest" with the intended pipeline's digest
-//   install       journal kInstallBegin "seq kind crc" -> epoch-fenced
-//                 TwoPhaseInstaller ship -> journal kInstallCommit/kAbort
-//   checkpoint    compact the journal to one kSnapshot record (full
-//                 intended state). Replay from a snapshot re-adds the
-//                 surviving subscriptions and recompiles once: recovery is
-//                 then O(live state), not O(history), but state numbering
-//                 is fresh — semantically equivalent (the nemesis verifies
-//                 with camus::verify), digest-different. Exact replay (no
-//                 checkpoint) reproduces the pre-crash pipeline
-//                 bit-identically, because the compiler is deterministic
-//                 given the same operation history. The recovery bench
-//                 measures both modes; kCommit digests recorded after a
-//                 checkpoint are therefore only enforced on exact replay.
-//
-// The fencing half: each open() adopts a strictly larger epoch and stamps
-// it on every switch write, so a deposed controller's stragglers are
-// rejected by the switch (E140) instead of clobbering its successor.
+//   commit   IncrementalCompiler::commit() — the delta against the last
+//            installed program, and the full intended pipeline whose
+//            digest is journaled in kCommit.
+//   install  kInstallBegin "seq ops|full crc" -> the delta's entry ops (or
+//            the full image when the delta demands a reprogram) through
+//            one TwoPhaseInstaller -> kInstallCommit/kInstallAbort.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "compiler/incremental.hpp"
 #include "fault/plan.hpp"
+#include "pubsub/durable_core.hpp"
 #include "pubsub/install.hpp"
 #include "spec/schema.hpp"
 #include "switchsim/switch.hpp"
@@ -58,90 +25,13 @@
 
 namespace camus::pubsub {
 
-// What open() found in the journal.
-struct RecoveryInfo {
-  bool recovered = false;         // journal held prior state
-  bool from_snapshot = false;     // replay started at a kSnapshot
-  std::uint64_t epoch = 0;        // epoch adopted by THIS controller
-  std::size_t records_replayed = 0;
-  std::size_t torn_bytes = 0;     // discarded torn tail
-  std::size_t subscriptions = 0;  // live after replay
-  std::uint64_t commits_replayed = 0;
-  // Replayed commits whose recomputed digest diverged from the recorded
-  // one. Fatal (J010) on exact replay; expected and merely counted after
-  // a snapshot (fresh state numbering — see file comment).
-  std::uint64_t digest_mismatches = 0;
-  // A kInstallBegin had no matching commit/abort: the crash hit mid
-  // install. open() journals the abort; reconcile() repairs the switch.
-  bool install_in_flight = false;
-  std::uint64_t in_flight_install = 0;  // its seq (valid when in_flight)
-};
-
-// Automatic checkpointing: compact the journal whenever the estimated
-// cost of replaying the accumulated history exceeds max_replay_seconds.
-// The estimate is records * per_record_seconds plus, for each replayed
-// commit, an EWMA of this controller's own measured compile times — so a
-// controller with expensive commits checkpoints sooner than one with
-// cheap ones, bounding worst-case recovery time rather than journal
-// length. Disabled by default (max_replay_seconds <= 0): checkpointing
-// trades exact-replay fidelity for recovery speed (see the protocol
-// comment above), so it is opt-in.
-struct CheckpointPolicy {
-  double max_replay_seconds = 0;  // <= 0 disables auto-checkpointing
-  std::size_t min_records = 16;   // never compact a near-empty journal
-  // Cost charged per non-commit journal record (parse + bind on replay).
-  double per_record_seconds = 2e-6;
-};
-
-// Outcome of one warm-boot anti-entropy pass.
-struct ReconcileReport {
-  bool in_sync = false;       // digests matched; nothing shipped
-  bool repaired = false;      // a repair landed on the switch
-  bool full_reprogram = false;  // repair had to re-image (no entry delta)
-  std::size_t diverged_stages = 0;  // stages whose digests differed
-  std::size_t repair_ops = 0;       // entry ops shipped (delta repair)
-  std::size_t reused_entries = 0;   // intended entries already in place
-  std::size_t total_entries = 0;    // intended entries
-  InstallReport install;            // the shipping report, when not in_sync
-
-  double reuse_fraction() const noexcept {
-    return total_entries == 0 ? 1.0
-                              : static_cast<double>(reused_entries) /
-                                    static_cast<double>(total_entries);
-  }
-};
-
-// Diagnostics:
-//   E142  operation before a successful open()
-//   J010  replayed commit digest mismatch (journal corruption or broken
-//         compiler determinism) on exact replay
-//   J011  malformed journal payload for its record type
-class DurableController {
+// Diagnostics: those of DurableCore, plus E122 (intended before commit).
+class DurableController final : public DurableCore {
  public:
   using Delta = compiler::IncrementalCompiler::Delta;
 
-  // The storage outlives the controller (it IS the durable identity: a
-  // restarted controller is a new DurableController on the same storage).
   DurableController(spec::Schema schema, util::StableStorage& storage,
                     compiler::CompileOptions opts = {});
-
-  // Replays the journal into this controller and adopts a fresh epoch.
-  // Must be called (once) before any mutation.
-  util::Result<RecoveryInfo> open();
-  bool is_open() const noexcept { return opened_; }
-  const RecoveryInfo& recovery() const noexcept { return recovery_; }
-
-  // This controller's fenced epoch (0 before open()).
-  std::uint64_t epoch() const noexcept { return epoch_; }
-  std::uint64_t commit_seq() const noexcept { return commit_seq_; }
-  std::size_t subscription_count() const noexcept { return subs_.size(); }
-
-  // WAL-first mutations (same text handling as Controller::subscribe —
-  // interest-only rules get " : fwd(port)" appended; unsubscribe removes
-  // rules forwarding ONLY to the port).
-  util::Result<bool> subscribe(std::uint16_t port,
-                               std::string_view rule_text, int priority = 0);
-  util::Result<std::size_t> unsubscribe(std::uint16_t port);
 
   // Recompiles and journals the commit boundary with the intended
   // pipeline's digest. The returned delta is what install() ships.
@@ -166,80 +56,27 @@ class DurableController {
                                       int max_attempts = 3,
                                       int chunk_retries = 8);
 
-  // Warm-boot anti-entropy: fences the switch to this epoch, diffs the
-  // switch's reported per-stage digests against the intended pipeline's,
-  // and ships the minimal repair (entry ops when possible, re-image when
-  // not — same table::diff_pipelines currency as live churn deltas).
-  // In-sync switches are left untouched. Also re-seeds the installer's
-  // last-good and the incremental diff base from the repaired program.
+  // Warm-boot anti-entropy: fences the switch to this epoch and drives it
+  // to the intended pipeline with reconcile_switch (in-sync switches are
+  // left untouched). Also re-seeds the installer's last-good and the
+  // incremental diff base from the repaired program.
   util::Result<ReconcileReport> reconcile(TwoPhaseInstaller& installer,
                                           const fault::Plan* faults = nullptr,
                                           std::size_t chunk_bytes = 512,
                                           int max_attempts = 3,
                                           int chunk_retries = 8);
 
-  // Compacts the journal to a single snapshot of the intended state (see
-  // file comment for the recovery-fidelity trade-off).
-  util::Result<bool> checkpoint();
-
-  // Arms automatic checkpointing: commit() compacts the journal once the
-  // estimated replay cost crosses policy.max_replay_seconds.
-  void set_checkpoint_policy(CheckpointPolicy policy) noexcept {
-    policy_ = policy;
-  }
-  const CheckpointPolicy& checkpoint_policy() const noexcept {
-    return policy_;
-  }
-  // Checkpoints taken automatically by the policy (manual ones excluded).
-  std::uint64_t auto_checkpoints() const noexcept { return auto_checkpoints_; }
-  // The policy's current replay-cost estimate for this journal.
-  double estimated_replay_seconds() const noexcept;
-
-  util::Journal& journal() noexcept { return journal_; }
-  const spec::Schema& schema() const noexcept { return schema_; }
-
  private:
-  struct Sub {
-    compiler::IncrementalCompiler::SubscriptionId id = 0;
-    std::uint16_t port = 0;
-    int priority = 0;
-    std::string text;  // full rule text incl. action (replay + snapshot)
-    std::vector<std::uint16_t> ports;  // bound action ports (unsub filter)
-  };
+  RuleId add_rule(lang::BoundRule rule) override;
+  void remove_rule(RuleId id) override;
+  util::Result<std::uint64_t> compile(bool replay) override;
 
-  // Parses+binds and registers one subscription (shared by the live path
-  // and replay). `text` must already include the action.
-  util::Result<bool> apply_subscribe(std::uint16_t port, int priority,
-                                     const std::string& text);
-  std::size_t apply_unsubscribe(std::uint16_t port);
-  // Runs inc_.commit() and returns the intended pipeline's digest.
-  util::Result<std::uint64_t> apply_commit(Delta* out);
-  std::string snapshot_payload() const;
-  util::Result<bool> replay_snapshot(const std::string& payload);
-  // Runs the CheckpointPolicy at a commit boundary; no-op when disarmed
-  // or below threshold.
-  util::Result<bool> maybe_auto_checkpoint();
-
-  spec::Schema schema_;
-  compiler::CompileOptions opts_;
-  util::Journal journal_;
   compiler::IncrementalCompiler inc_;
   // Last committed pipeline — the controller's intent. Kept separate from
   // inc_'s diff base, which install() rolls back on abort.
   std::optional<table::Pipeline> intended_;
-  std::vector<Sub> subs_;
-  bool opened_ = false;
-  std::uint64_t epoch_ = 0;
-  std::uint64_t commit_seq_ = 0;
-  std::uint64_t install_seq_ = 0;
-  RecoveryInfo recovery_;
-  // CheckpointPolicy state: what a replay of the current journal would
-  // have to redo, and what this controller's commits actually cost.
-  CheckpointPolicy policy_;
-  std::size_t records_since_checkpoint_ = 0;
-  std::uint64_t commits_since_checkpoint_ = 0;
-  double commit_seconds_ewma_ = 0;
-  std::uint64_t auto_checkpoints_ = 0;
+  // The delta of the last live commit, handed out by commit().
+  Delta delta_;
 };
 
 }  // namespace camus::pubsub

@@ -1,84 +1,51 @@
 #include "pubsub/fabric.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
-#include "lang/parser.hpp"
-#include "table/serialize.hpp"
+#include "table/delta.hpp"
 
 namespace camus::pubsub {
 
 using util::Error;
-using util::RecordType;
 using util::Result;
-
-namespace {
-
-Error not_open() {
-  return Error{"FabricController used before a successful open()", 0, 0,
-               "E142"};
-}
-
-Error bad_payload(RecordType type, const std::string& payload) {
-  return Error{"malformed journal payload for record type " +
-                   std::to_string(static_cast<int>(type)) + ": '" + payload +
-                   "'",
-               0, 0, "J011"};
-}
-
-bool read_u64(std::istringstream& is, std::uint64_t& out) {
-  return static_cast<bool>(is >> out);
-}
-
-}  // namespace
 
 FabricController::FabricController(spec::Schema schema,
                                    util::StableStorage& storage,
                                    compiler::FabricSpec fabric,
                                    compiler::CompileOptions opts)
-    : schema_(std::move(schema)),
-      fabric_(fabric),
-      opts_(opts),
-      journal_(storage) {}
+    : DurableCore(std::move(schema), storage), fabric_(fabric), opts_(opts) {}
 
-Result<bool> FabricController::apply_subscribe(std::uint16_t port,
-                                               int priority,
-                                               const std::string& text) {
-  auto parsed = lang::parse_rule(text);
-  if (!parsed.ok()) return parsed.error();
-  auto bound = lang::bind_rule(parsed.value(), schema_);
-  if (!bound.ok()) return bound.error();
-  auto placeable = compiler::fabric_rule_ok(bound.value(), schema_);
-  if (!placeable.ok()) return placeable.error();
-  Sub sub;
-  sub.port = port;
-  sub.priority = priority;
-  sub.text = text;
-  sub.rule = std::move(bound).take();
-  subs_.push_back(std::move(sub));
-  return true;
+Result<bool> FabricController::admit(const lang::BoundRule& rule) const {
+  return compiler::fabric_rule_ok(rule, schema());
 }
 
-std::size_t FabricController::apply_unsubscribe(std::uint16_t port) {
-  const std::size_t before = subs_.size();
-  std::erase_if(subs_, [port](const Sub& s) {
-    return s.rule.actions.ports.size() == 1 && s.rule.actions.ports[0] == port;
-  });
-  return before - subs_.size();
+DurableCore::RuleId FabricController::add_rule(lang::BoundRule rule) {
+  rules_.push_back(std::move(rule));
+  rule_ids_.push_back(next_rule_id_);
+  return next_rule_id_++;
 }
 
-Result<std::uint64_t> FabricController::apply_commit() {
-  std::vector<lang::BoundRule> rules;
-  rules.reserve(subs_.size());
-  for (const Sub& s : subs_) rules.push_back(s.rule);
-  auto placed = compiler::partition_for_fabric(schema_, rules, fabric_, opts_);
+void FabricController::remove_rule(RuleId id) {
+  const auto it = std::find(rule_ids_.begin(), rule_ids_.end(), id);
+  if (it == rule_ids_.end()) return;
+  rules_.erase(rules_.begin() + (it - rule_ids_.begin()));
+  rule_ids_.erase(it);
+}
+
+Result<std::uint64_t> FabricController::compile(bool /*replay*/) {
+  auto placed =
+      compiler::partition_for_fabric(schema(), rules_, fabric_, opts_);
   if (!placed.ok()) return placed.error();
-  auto compiled = compiler::compile_fabric(schema_, placed.value(), opts_);
+  auto compiled = compiler::compile_fabric(schema(), placed.value(), opts_);
   if (!compiled.ok()) return compiled.error();
   placement_ = std::move(placed).take();
   intended_ = std::move(compiled).take();
   return intended_->fabric_digest;
+}
+
+Result<std::uint64_t> FabricController::commit() {
+  return commit_and_journal();
 }
 
 Result<const compiler::FabricProgram*> FabricController::intended() const {
@@ -100,234 +67,34 @@ const table::Pipeline& FabricController::program_for(std::size_t i) const {
                             : intended_->leaves[i - fabric_.spines];
 }
 
-std::string FabricController::snapshot_payload() const {
-  std::ostringstream os;
-  os << "epoch " << epoch_ << "\n"
-     << "commits " << commit_seq_ << "\n"
-     << "installs " << install_seq_ << "\n";
-  for (const Sub& s : subs_)
-    os << "sub " << s.port << " " << s.priority << " " << s.text << "\n";
-  return os.str();
-}
-
-Result<bool> FabricController::replay_snapshot(const std::string& payload) {
-  std::istringstream lines(payload);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.empty()) continue;
-    std::istringstream is(line);
-    std::string tag;
-    is >> tag;
-    if (tag == "epoch" || tag == "commits" || tag == "installs") {
-      std::uint64_t v = 0;
-      if (!read_u64(is, v)) return bad_payload(RecordType::kSnapshot, line);
-      if (tag == "epoch") epoch_ = v;
-      if (tag == "commits") commit_seq_ = v;
-      if (tag == "installs") install_seq_ = v;
-    } else if (tag == "sub") {
-      std::uint64_t port = 0;
-      long long prio = 0;
-      if (!(is >> port >> prio))
-        return bad_payload(RecordType::kSnapshot, line);
-      std::string text;
-      std::getline(is, text);
-      if (!text.empty() && text.front() == ' ') text.erase(0, 1);
-      auto applied = apply_subscribe(static_cast<std::uint16_t>(port),
-                                     static_cast<int>(prio), text);
-      if (!applied.ok()) return applied.error();
-    } else {
-      return bad_payload(RecordType::kSnapshot, line);
-    }
-  }
-  // Snapshot captured committed state: rebuild the intended program (fresh
-  // compile — fabric digests are deterministic per rule set, but kCommit
-  // digests recorded after a checkpoint are only enforced on exact replay,
-  // mirroring the single-switch controller).
-  if (commit_seq_ > 0) {
-    auto committed = apply_commit();
-    if (!committed.ok()) return committed.error();
-  }
+Result<bool> FabricController::check_targets(
+    const FabricTargets& targets) const {
+  if (targets.spines.size() != fabric_.spines ||
+      targets.leaves.size() != fabric_.leaves)
+    return Error{"FabricTargets shape disagrees with the fabric spec", 0, 0,
+                 "F151"};
   return true;
-}
-
-Result<RecoveryInfo> FabricController::open() {
-  if (opened_)
-    return Error{"FabricController::open() called twice", 0, 0, "E142"};
-  auto replayed = journal_.replay();
-  if (!replayed.ok()) return replayed.error();
-  const util::ReplayResult& rep = replayed.value();
-
-  recovery_ = RecoveryInfo{};
-  recovery_.torn_bytes = rep.torn_bytes;
-  recovery_.recovered = !rep.records.empty();
-
-  std::uint64_t max_epoch = 0;
-  std::optional<std::uint64_t> in_flight;
-
-  for (const util::Record& rec : rep.records) {
-    ++recovery_.records_replayed;
-    std::istringstream is(rec.payload);
-    switch (rec.type) {
-      case RecordType::kSnapshot: {
-        recovery_.from_snapshot = true;
-        auto ok = replay_snapshot(rec.payload);
-        if (!ok.ok()) return ok.error();
-        max_epoch = std::max(max_epoch, epoch_);
-        break;
-      }
-      case RecordType::kEpoch: {
-        std::uint64_t e = 0;
-        if (!read_u64(is, e)) return bad_payload(rec.type, rec.payload);
-        max_epoch = std::max(max_epoch, e);
-        break;
-      }
-      case RecordType::kSubscribe: {
-        std::uint64_t port = 0;
-        long long prio = 0;
-        if (!(is >> port >> prio)) return bad_payload(rec.type, rec.payload);
-        std::string text;
-        std::getline(is, text);
-        if (!text.empty() && text.front() == ' ') text.erase(0, 1);
-        auto applied = apply_subscribe(static_cast<std::uint16_t>(port),
-                                       static_cast<int>(prio), text);
-        if (!applied.ok()) return applied.error();
-        break;
-      }
-      case RecordType::kUnsubscribe: {
-        std::uint64_t port = 0;
-        if (!read_u64(is, port)) return bad_payload(rec.type, rec.payload);
-        apply_unsubscribe(static_cast<std::uint16_t>(port));
-        break;
-      }
-      case RecordType::kCommit: {
-        std::uint64_t seq = 0, digest = 0;
-        if (!read_u64(is, seq) || !read_u64(is, digest))
-          return bad_payload(rec.type, rec.payload);
-        auto got = apply_commit();
-        if (!got.ok()) return got.error();
-        commit_seq_ = seq;
-        ++recovery_.commits_replayed;
-        if (got.value() != digest) {
-          ++recovery_.digest_mismatches;
-          if (!recovery_.from_snapshot)
-            return Error{"replayed fabric commit " + std::to_string(seq) +
-                             " digest mismatch (journal corruption or "
-                             "non-deterministic compiler)",
-                         0, 0, "J010"};
-        }
-        break;
-      }
-      case RecordType::kInstallBegin: {
-        std::uint64_t seq = 0;
-        if (!read_u64(is, seq)) return bad_payload(rec.type, rec.payload);
-        install_seq_ = std::max(install_seq_, seq);
-        in_flight = seq;
-        break;
-      }
-      case RecordType::kInstallCommit:
-      case RecordType::kInstallAbort: {
-        in_flight.reset();
-        break;
-      }
-    }
-  }
-
-  epoch_ = max_epoch + 1;
-  recovery_.epoch = epoch_;
-  recovery_.subscriptions = subs_.size();
-  auto journaled = journal_.append(RecordType::kEpoch, std::to_string(epoch_));
-  if (!journaled.ok()) return journaled.error();
-
-  if (in_flight) {
-    // The crash hit the install window — possibly BETWEEN per-switch
-    // commits, leaving the fabric mixed old/new. Journal the abort; the
-    // journaled commit is still the intent, and reconcile() drives every
-    // switch (old, new, or anything staged-and-lost) to its per-switch
-    // program from digests, so the resolution is deterministic without
-    // knowing how far the transaction got.
-    recovery_.install_in_flight = true;
-    recovery_.in_flight_install = *in_flight;
-    auto aborted = journal_.append(RecordType::kInstallAbort,
-                                   std::to_string(*in_flight));
-    if (!aborted.ok()) return aborted.error();
-  }
-
-  opened_ = true;
-  return recovery_;
-}
-
-Result<bool> FabricController::subscribe(std::uint16_t port,
-                                         std::string_view rule_text,
-                                         int priority) {
-  if (!opened_) return not_open();
-  std::string text(rule_text);
-  if (text.find(':') == std::string::npos)
-    text += " : fwd(" + std::to_string(port) + ")";
-  // Validate BEFORE journaling: parse, bind, and fabric placeability
-  // (F150) — replay re-applies every journaled rule and treats failure as
-  // fatal, so nothing unplaceable may enter the log.
-  auto parsed = lang::parse_rule(text);
-  if (!parsed.ok()) return parsed.error();
-  auto bound = lang::bind_rule(parsed.value(), schema_);
-  if (!bound.ok()) return bound.error();
-  auto placeable = compiler::fabric_rule_ok(bound.value(), schema_);
-  if (!placeable.ok()) return placeable.error();
-  std::ostringstream payload;
-  payload << port << " " << priority << " " << text;
-  auto journaled = journal_.append(RecordType::kSubscribe, payload.str());
-  if (!journaled.ok()) return journaled.error();
-  return apply_subscribe(port, priority, text);
-}
-
-Result<std::size_t> FabricController::unsubscribe(std::uint16_t port) {
-  if (!opened_) return not_open();
-  const std::size_t matching = static_cast<std::size_t>(std::count_if(
-      subs_.begin(), subs_.end(), [port](const Sub& s) {
-        return s.rule.actions.ports.size() == 1 &&
-               s.rule.actions.ports[0] == port;
-      }));
-  if (matching == 0) return std::size_t{0};
-  auto journaled =
-      journal_.append(RecordType::kUnsubscribe, std::to_string(port));
-  if (!journaled.ok()) return journaled.error();
-  return apply_unsubscribe(port);
-}
-
-Result<std::uint64_t> FabricController::commit() {
-  if (!opened_) return not_open();
-  auto digest = apply_commit();
-  if (!digest.ok()) return digest.error();
-  ++commit_seq_;
-  std::ostringstream payload;
-  payload << commit_seq_ << " " << digest.value();
-  auto journaled = journal_.append(RecordType::kCommit, payload.str());
-  if (!journaled.ok()) return journaled.error();
-  return digest.value();
 }
 
 Result<FabricInstallReport> FabricController::install(
     const FabricTargets& targets, const fault::Plan* faults, int fault_switch,
     std::size_t chunk_bytes, int max_attempts, int chunk_retries) {
-  if (!opened_) return not_open();
+  if (!is_open()) return not_open();
   auto program = intended();
   if (!program.ok()) return program.error();
-  if (targets.spines.size() != fabric_.spines ||
-      targets.leaves.size() != fabric_.leaves)
-    return Error{"FabricTargets shape disagrees with the fabric spec", 0, 0,
-                 "F151"};
+  auto shaped = check_targets(targets);
+  if (!shaped.ok()) return shaped.error();
 
   FabricInstallReport report;
   report.switches = targets.size();
-  report.epoch = epoch_;
+  report.epoch = epoch();
   report.reports.resize(targets.size());
 
   // The whole transaction is one journaled install; the begin record
   // carries the fabric digest so a post-crash reader knows what was being
   // attempted.
-  ++install_seq_;
-  std::ostringstream begin;
-  begin << install_seq_ << " fabric " << intended_->fabric_digest;
-  auto journaled = journal_.append(RecordType::kInstallBegin, begin.str());
+  auto journaled = journal_install_begin(
+      "fabric " + std::to_string(intended_->fabric_digest));
   if (!journaled.ok()) return journaled.error();
 
   // --- Phase 1: stage everywhere. No switch is touched; a failure on any
@@ -335,7 +102,7 @@ Result<FabricInstallReport> FabricController::install(
   std::vector<StagedInstall> staged(targets.size());
   for (std::size_t i = 0; i < targets.size(); ++i) {
     TwoPhaseInstaller& installer = targets.at(i);
-    installer.set_epoch(epoch_);
+    installer.set_epoch(epoch());
     const fault::Plan* plan =
         (fault_switch < 0 || static_cast<std::size_t>(fault_switch) == i)
             ? faults
@@ -347,8 +114,7 @@ Result<FabricInstallReport> FabricController::install(
       report.all_or_nothing_abort = true;
       report.error = "stage failed on switch " + std::to_string(i) + ": " +
                      staged[i].report.error;
-      auto aborted = journal_.append(RecordType::kInstallAbort,
-                                     std::to_string(install_seq_));
+      auto aborted = journal_install_end(false);
       if (!aborted.ok()) return aborted.error();
       return report;
     }
@@ -378,8 +144,7 @@ Result<FabricInstallReport> FabricController::install(
       // Roll back every switch this transaction already committed.
       for (std::size_t j = 0; j < i; ++j)
         if (targets.at(j).rollback()) ++report.rolled_back;
-      auto aborted = journal_.append(RecordType::kInstallAbort,
-                                     std::to_string(install_seq_));
+      auto aborted = journal_install_end(false);
       if (!aborted.ok()) return aborted.error();
       return report;
     }
@@ -387,8 +152,7 @@ Result<FabricInstallReport> FabricController::install(
     ++report.committed_switches;
   }
 
-  auto recorded = journal_.append(RecordType::kInstallCommit,
-                                  std::to_string(install_seq_));
+  auto recorded = journal_install_end(true);
   if (!recorded.ok()) return recorded.error();
   report.committed = true;
   return report;
@@ -397,11 +161,9 @@ Result<FabricInstallReport> FabricController::install(
 Result<FabricReconcileReport> FabricController::reconcile(
     const FabricTargets& targets, const fault::Plan* faults,
     std::size_t chunk_bytes, int max_attempts, int chunk_retries) {
-  if (!opened_) return not_open();
-  if (targets.spines.size() != fabric_.spines ||
-      targets.leaves.size() != fabric_.leaves)
-    return Error{"FabricTargets shape disagrees with the fabric spec", 0, 0,
-                 "F151"};
+  if (!is_open()) return not_open();
+  auto shaped = check_targets(targets);
+  if (!shaped.ok()) return shaped.error();
 
   FabricReconcileReport report;
   report.switches = targets.size();
@@ -411,9 +173,9 @@ Result<FabricReconcileReport> FabricController::reconcile(
   // a predecessor's writes on any node.
   for (std::size_t i = 0; i < targets.size(); ++i) {
     TwoPhaseInstaller& installer = targets.at(i);
-    auto fenced = installer.target().fence(epoch_);
+    auto fenced = installer.target().fence(epoch());
     if (!fenced.ok()) return fenced.error();
-    installer.set_epoch(epoch_);
+    installer.set_epoch(epoch());
   }
 
   // Per-switch intended program: last journaled commit, or the empty
@@ -421,47 +183,31 @@ Result<FabricReconcileReport> FabricController::reconcile(
   // programmed switches, not skip them).
   report.converged = true;
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    TwoPhaseInstaller& installer = targets.at(i);
-    switchsim::Switch& sw = installer.target();
     table::Pipeline want;
     if (intended_) want = program_for(i);
     want.finalize();
-    const std::uint64_t want_digest = table::pipeline_digest(want);
-
-    if (sw.program_digest() == want_digest) {
+    const ReconcileReport rec = reconcile_switch(
+        targets.at(i), want, faults, chunk_bytes, max_attempts,
+        chunk_retries);
+    if (rec.in_sync) {
       ++report.in_sync;
-      installer.resync_from_switch();
       continue;
     }
-    const table::Pipeline have = sw.pipeline_snapshot();
-    table::PipelineDiff diff = table::diff_pipelines(&have, want);
-    InstallReport install;
-    if (diff.requires_reprogram) {
-      ++report.full_reprograms;
-      install = installer.install(want, faults, chunk_bytes, max_attempts,
-                                  chunk_retries);
-    } else {
-      installer.resync_from_switch();
-      report.repair_ops += diff.ops.size();
-      install = installer.apply_delta(diff.ops, faults, chunk_bytes,
-                                      max_attempts, chunk_retries);
-    }
-    if (install.committed && sw.program_digest() == want_digest) {
+    report.full_reprograms += rec.full_reprogram;
+    report.repair_ops += rec.repair_ops;
+    // Converged means every switch digest equals its intended digest, so
+    // a landed repair is confirmed against the switch.
+    if (rec.repaired && targets.at(i).target().program_digest() ==
+                            table::pipeline_digest(want)) {
       ++report.repaired;
     } else {
       report.converged = false;
       if (report.error.empty())
         report.error = "repair failed on switch " + std::to_string(i) + ": " +
-                       install.error;
+                       rec.install.error;
     }
   }
   return report;
-}
-
-Result<bool> FabricController::checkpoint() {
-  if (!opened_) return not_open();
-  const util::Record rec{RecordType::kSnapshot, snapshot_payload()};
-  return journal_.compact(std::span<const util::Record>(&rec, 1));
 }
 
 }  // namespace camus::pubsub

@@ -1,8 +1,9 @@
 // Fabric control plane: one subscription set, many switches, one journal.
 //
-// A FabricController owns the subscription set for a whole spine–leaf
-// fabric and drives one TwoPhaseInstaller per switch. It layers three
-// guarantees on top of the single-switch DurableController protocol:
+// A FabricController is the DurableCore journal protocol
+// (durable_core.hpp) over a whole spine–leaf fabric, driving one
+// TwoPhaseInstaller per switch. What it adds to the single-switch
+// DurableController is how a commit compiles and how an install ships:
 //
 //   placement   — every commit derives a compiler::FabricPlacement and
 //                 compiles per-switch programs (compile_fabric); the
@@ -26,22 +27,18 @@
 //                 all installers, so a deposed controller cannot program
 //                 ANY switch of the fabric (E140 per switch).
 //
-// Journal records (same WAL discipline and RecordTypes as the single-
-// switch controller; payload formats documented per method):
-//   kEpoch "e" · kSubscribe "port prio text" · kUnsubscribe "port" ·
-//   kCommit "seq fabric_digest" · kInstallBegin "seq fabric crc" ·
-//   kInstallCommit/kInstallAbort "seq" · kSnapshot (checkpoint()).
+// Journal records are the DurableCore ones; an install's begin record is
+// kInstallBegin "seq fabric fabric_digest".
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "compiler/fabric.hpp"
 #include "fault/plan.hpp"
-#include "pubsub/durable.hpp"  // RecoveryInfo
+#include "pubsub/durable_core.hpp"
 #include "pubsub/install.hpp"
 #include "spec/schema.hpp"
 #include "util/journal.hpp"
@@ -91,32 +88,16 @@ struct FabricReconcileReport {
   std::string error;
 };
 
-// Diagnostics: E142 (op before open), E122 (intended before commit), J010
-// (exact-replay digest mismatch), J011 (malformed payload) — shared with
-// DurableController — plus F150 (stateful rule rejected at subscribe).
-class FabricController {
+// Diagnostics: those of DurableCore, plus E122 (intended before commit),
+// F150 (stateful rule rejected at subscribe) and F151 (targets disagree
+// with the fabric spec).
+class FabricController final : public DurableCore {
  public:
   FabricController(spec::Schema schema, util::StableStorage& storage,
                    compiler::FabricSpec fabric,
                    compiler::CompileOptions opts = {});
 
-  // Replays the journal and adopts a fresh fabric-wide epoch. Must be
-  // called (once) before any mutation.
-  util::Result<RecoveryInfo> open();
-  bool is_open() const noexcept { return opened_; }
-  const RecoveryInfo& recovery() const noexcept { return recovery_; }
-
-  std::uint64_t epoch() const noexcept { return epoch_; }
-  std::uint64_t commit_seq() const noexcept { return commit_seq_; }
-  std::size_t subscription_count() const noexcept { return subs_.size(); }
   const compiler::FabricSpec& fabric() const noexcept { return fabric_; }
-
-  // WAL-first mutations; same text contract as DurableController (an
-  // interest-only rule gets " : fwd(port)" appended). Stateful rules are
-  // rejected (F150) before journaling — the fabric cannot place them.
-  util::Result<bool> subscribe(std::uint16_t port, std::string_view rule_text,
-                               int priority = 0);
-  util::Result<std::size_t> unsubscribe(std::uint16_t port);
 
   // Places and compiles the whole fabric (partition_for_fabric +
   // compile_fabric), journals the commit with the fabric digest, and
@@ -142,56 +123,38 @@ class FabricController {
                                             int chunk_retries = 8);
 
   // Fabric-wide anti-entropy: fences every switch to this epoch, then
-  // drives each toward its per-switch intended program (digest
-  // short-circuit, entry-delta repair when possible, re-image when not —
-  // the single-switch reconcile loop per node).
+  // drives each toward its per-switch intended program with
+  // reconcile_switch (the single-switch routine, once per node).
   util::Result<FabricReconcileReport> reconcile(
       const FabricTargets& targets, const fault::Plan* faults = nullptr,
       std::size_t chunk_bytes = 512, int max_attempts = 3,
       int chunk_retries = 8);
-
-  // Compacts the journal to one snapshot of the live subscription set.
-  util::Result<bool> checkpoint();
 
   // Crash-injection hook for the nemesis: the next install() stops dead
   // after committing `n` switches — no outcome record is journaled, as if
   // the controller process died mid-transaction. One-shot; -1 disables.
   void set_crash_after_commits(int n) noexcept { crash_after_commits_ = n; }
 
-  util::Journal& journal() noexcept { return journal_; }
-  const spec::Schema& schema() const noexcept { return schema_; }
-
  private:
-  struct Sub {
-    std::uint16_t port = 0;
-    int priority = 0;
-    std::string text;
-    lang::BoundRule rule;
-  };
-
-  util::Result<bool> apply_subscribe(std::uint16_t port, int priority,
-                                     const std::string& text);
-  std::size_t apply_unsubscribe(std::uint16_t port);
+  // Rejects stateful rules (F150): the fabric cannot place them.
+  util::Result<bool> admit(const lang::BoundRule& rule) const override;
+  RuleId add_rule(lang::BoundRule rule) override;
+  void remove_rule(RuleId id) override;
   // Recompiles placement+program from the live set; returns fabric digest.
-  util::Result<std::uint64_t> apply_commit();
-  std::string snapshot_payload() const;
-  util::Result<bool> replay_snapshot(const std::string& payload);
+  util::Result<std::uint64_t> compile(bool replay) override;
+  util::Result<bool> check_targets(const FabricTargets& targets) const;
   // The intended pipeline of flat switch index i (spines share one).
   const table::Pipeline& program_for(std::size_t i) const;
 
-  spec::Schema schema_;
   compiler::FabricSpec fabric_;
   compiler::CompileOptions opts_;
-  util::Journal journal_;
-  std::vector<Sub> subs_;
+  // The live rules in subscription order, and their ids.
+  std::vector<lang::BoundRule> rules_;
+  std::vector<RuleId> rule_ids_;
+  RuleId next_rule_id_ = 1;
   std::optional<compiler::FabricPlacement> placement_;
   std::optional<compiler::FabricProgram> intended_;
-  bool opened_ = false;
-  std::uint64_t epoch_ = 0;
-  std::uint64_t commit_seq_ = 0;
-  std::uint64_t install_seq_ = 0;
   int crash_after_commits_ = -1;
-  RecoveryInfo recovery_;
 };
 
 }  // namespace camus::pubsub

@@ -2,8 +2,9 @@
 // equivalence proof (with a corrupted-steering negative producing a
 // concrete counterexample), the all-or-nothing cross-switch install, the
 // fuzzer-driven differential suite (fabric delivery ≡ single-switch
-// oracle per (leaf, port) across topologies), and the fabric nemesis
-// campaign's invariants + determinism.
+// oracle per (leaf, port) across topologies), the FabricController
+// lifecycle (the controller cases shared with DurableController), and the
+// fabric nemesis campaign's invariants + determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +15,8 @@
 
 #include "compiler/compile.hpp"
 #include "compiler/fabric.hpp"
-#include "fault/fabric_nemesis.hpp"
+#include "controller_cases.hpp"
+#include "fault/nemesis.hpp"
 #include "fault/plan.hpp"
 #include "lang/bound.hpp"
 #include "lang/parser.hpp"
@@ -403,19 +405,81 @@ TEST(FabricController, CrashBetweenCommitsRecoversToConvergence) {
               intended.value()->leaf_digests[l]);
 }
 
+// --- Controller lifecycle (cases shared with DurableController) ---------
+
+// The fabric instance of the shared controller cases: a 2-leaf, 1-spine
+// fabric whose delivered ports come from a netsim fabric running the
+// intended program.
+struct Fabric {
+  using Controller = FabricController;
+  static Controller make(camus::util::MemStorage& st) {
+    return Controller(camus::spec::make_itch_schema(), st, {2, 1});
+  }
+  static std::uint64_t digest(const Controller& c) {
+    return c.intended().value()->fabric_digest;
+  }
+  static std::vector<std::uint16_t> ports(const Controller& c,
+                                          const camus::lang::Env& env) {
+    camus::netsim::FabricTopologyOptions topo;
+    topo.spec = c.fabric();
+    camus::netsim::Fabric fabric(camus::spec::make_itch_schema(), topo);
+    fabric.program(*c.intended().value());
+    std::vector<std::uint16_t> out;
+    for (const auto& [leaf, port] : fabric.deliver_env(env.fields))
+      out.push_back(port);
+    return out;
+  }
+};
+
+TEST(FabricController, MutationsBeforeOpenAreE142) {
+  controller_cases::mutations_before_open_are_e142<Fabric>();
+}
+
+TEST(FabricController, FreshOpenAdoptsEpochOne) {
+  controller_cases::fresh_open_adopts_epoch_one<Fabric>();
+}
+
+TEST(FabricController, UnsubscribeRemovesOnlySinglePortRules) {
+  controller_cases::unsubscribe_removes_only_single_port_rules<Fabric>();
+}
+
+TEST(FabricController, TamperedJournalIsJ010OrJ011) {
+  controller_cases::tampered_journal_is_j010_or_j011<Fabric>();
+}
+
+TEST(FabricRecovery, ExactReplayIsBitIdentical) {
+  controller_cases::exact_replay_is_bit_identical<Fabric>();
+}
+
+TEST(FabricRecovery, EpochIncreasesAcrossEveryRestart) {
+  controller_cases::epoch_increases_across_every_restart<Fabric>();
+}
+
+TEST(FabricRecovery, CheckpointRecoveryIsSemanticallyEquivalent) {
+  controller_cases::checkpoint_recovery_is_semantically_equivalent<Fabric>();
+}
+
+TEST(FabricCheckpointPolicy, DisabledByDefault) {
+  controller_cases::checkpoint_policy_disabled_by_default<Fabric>();
+}
+
+TEST(FabricCheckpointPolicy, AutoCompactsWhenEstimatedReplayExceedsBound) {
+  controller_cases::checkpoint_policy_auto_compacts<Fabric>();
+}
+
 // --- Nemesis campaign -----------------------------------------------------
 
 TEST(FabricNemesis, CampaignHoldsAllInvariants) {
   camus::fault::FabricNemesisOptions opts;
   opts.seed = 42;
   opts.scenarios = 100;
-  const auto stats = camus::fault::run_fabric_nemesis(opts);
+  const auto stats = camus::fault::run_fabric_nemesis(opts).value();
   EXPECT_EQ(stats.scenarios, 100u);
   EXPECT_GT(stats.commits, 0u);
   EXPECT_GT(stats.installs, 0u);
   // Atomicity: every partitioned install aborted with zero switches
   // modified; fencing: every stale write bounced.
-  EXPECT_EQ(stats.all_or_nothing_aborts, stats.partitions);
+  EXPECT_EQ(stats.partition_aborts, stats.partitions);
   EXPECT_EQ(stats.stale_rejected, stats.stale_writes);
   for (const auto& v : stats.violation_details) ADD_FAILURE() << v;
   EXPECT_EQ(stats.violations, 0u);
@@ -425,10 +489,23 @@ TEST(FabricNemesis, CampaignIsDeterministic) {
   camus::fault::FabricNemesisOptions opts;
   opts.seed = 7;
   opts.scenarios = 20;
-  const auto a = camus::fault::run_fabric_nemesis(opts);
-  const auto b = camus::fault::run_fabric_nemesis(opts);
+  const auto a = camus::fault::run_fabric_nemesis(opts).value();
+  const auto b = camus::fault::run_fabric_nemesis(opts).value();
   EXPECT_EQ(a.to_json(), b.to_json());
   EXPECT_EQ(a.violations, 0u);
+}
+
+TEST(FabricNemesis, TopologyWithoutSpineOrLeafIsF151) {
+  for (const auto& [leaves, spines] :
+       {std::pair<std::size_t, std::size_t>{2, 0}, {0, 2}}) {
+    camus::fault::FabricNemesisOptions opts;
+    opts.scenarios = 3;
+    opts.leaves = leaves;
+    opts.spines = spines;
+    const auto ran = camus::fault::run_fabric_nemesis(opts);
+    ASSERT_FALSE(ran.ok()) << leaves << "x" << spines;
+    EXPECT_EQ(ran.error().code, "F151");
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "controller_cases.hpp"
 #include "fault/nemesis.hpp"
 #include "fault/plan.hpp"
 #include "pubsub/durable.hpp"
@@ -30,32 +31,23 @@ using camus::util::Journal;
 using camus::util::MemStorage;
 using camus::util::RecordType;
 
-const std::vector<std::string>& symbols() {
-  static const std::vector<std::string> syms = {"GOOGL", "MSFT", "AAPL",
-                                                "AMZN",  "NVDA", "IBM"};
-  return syms;
-}
+using controller_cases::gen_rule;
+using controller_cases::probe_env;
 
-std::string gen_rule(camus::util::Rng& rng) {
-  switch (rng.uniform(0, 2)) {
-    case 0:
-      return "stock == " + rng.pick(symbols());
-    case 1:
-      return "stock == " + rng.pick(symbols()) + " and price > " +
-             std::to_string(rng.uniform(1, 400) * 100);
-    default:
-      return "shares > " + std::to_string(rng.uniform(1, 900));
+// The single-switch instance of the shared controller cases.
+struct Durable {
+  using Controller = DurableController;
+  static Controller make(MemStorage& st) {
+    return Controller(camus::spec::make_itch_schema(), st);
   }
-}
-
-camus::lang::Env probe_env(camus::util::Rng& rng) {
-  camus::lang::Env env;
-  env.fields = {rng.uniform(0, 2500),
-                camus::util::encode_symbol(rng.pick(symbols())),
-                rng.uniform(0, 60000)};
-  env.states = {0, 0};
-  return env;
-}
+  static std::uint64_t digest(const Controller& c) {
+    return camus::table::pipeline_digest(*c.intended().value());
+  }
+  static std::vector<std::uint16_t> ports(const Controller& c,
+                                          const camus::lang::Env& env) {
+    return c.intended().value()->evaluate_actions(env).ports;
+  }
+};
 
 struct Plant {
   camus::spec::Schema schema = camus::spec::make_itch_schema();
@@ -67,22 +59,11 @@ struct Plant {
 // --- DurableController basics --------------------------------------------
 
 TEST(DurableController, MutationsBeforeOpenAreE142) {
-  MemStorage st;
-  DurableController ctl(camus::spec::make_itch_schema(), st);
-  EXPECT_EQ(ctl.subscribe(1, "stock == IBM").error().code, "E142");
-  EXPECT_EQ(ctl.unsubscribe(1).error().code, "E142");
-  EXPECT_EQ(ctl.commit().error().code, "E142");
-  EXPECT_EQ(ctl.checkpoint().error().code, "E142");
+  controller_cases::mutations_before_open_are_e142<Durable>();
 }
 
 TEST(DurableController, FreshOpenAdoptsEpochOne) {
-  MemStorage st;
-  DurableController ctl(camus::spec::make_itch_schema(), st);
-  auto info = ctl.open();
-  ASSERT_TRUE(info.ok());
-  EXPECT_FALSE(info.value().recovered);
-  EXPECT_EQ(ctl.epoch(), 1u);
-  EXPECT_EQ(ctl.subscription_count(), 0u);
+  controller_cases::fresh_open_adopts_epoch_one<Durable>();
 }
 
 TEST(DurableController, SubscribeCommitInstallLands) {
@@ -104,63 +85,21 @@ TEST(DurableController, SubscribeCommitInstallLands) {
 }
 
 TEST(DurableController, UnsubscribeRemovesOnlySinglePortRules) {
-  MemStorage st;
-  DurableController ctl(camus::spec::make_itch_schema(), st);
-  ASSERT_TRUE(ctl.open().ok());
-  ASSERT_TRUE(ctl.subscribe(3, "stock == IBM").value());
-  ASSERT_TRUE(ctl.subscribe(3, "price > 100").value());
-  ASSERT_TRUE(ctl.subscribe(5, "stock == MSFT").value());
-  EXPECT_EQ(ctl.unsubscribe(3).value(), 2u);
-  EXPECT_EQ(ctl.subscription_count(), 1u);
-  EXPECT_EQ(ctl.unsubscribe(3).value(), 0u);
+  controller_cases::unsubscribe_removes_only_single_port_rules<Durable>();
+}
+
+TEST(DurableController, TamperedJournalIsJ010OrJ011) {
+  controller_cases::tampered_journal_is_j010_or_j011<Durable>();
 }
 
 // --- Exact-replay recovery -----------------------------------------------
 
 TEST(Recovery, ExactReplayIsBitIdentical) {
-  MemStorage st;
-  const auto schema = camus::spec::make_itch_schema();
-  camus::util::Rng rng(42);
-
-  std::uint64_t pre_crash_digest = 0;
-  {
-    DurableController ctl(schema, st);
-    ASSERT_TRUE(ctl.open().ok());
-    for (int i = 0; i < 30; ++i) {
-      ASSERT_TRUE(
-          ctl.subscribe(static_cast<std::uint16_t>(1 + i % 7), gen_rule(rng))
-              .ok());
-      if (i % 3 == 2) ASSERT_TRUE(ctl.commit().ok());
-    }
-    ASSERT_TRUE(ctl.commit().ok());
-    pre_crash_digest =
-        camus::table::pipeline_digest(*ctl.intended().value());
-  }  // controller dies; storage survives
-
-  st.crash();
-  DurableController recovered(schema, st);
-  auto info = recovered.open();
-  ASSERT_TRUE(info.ok());
-  EXPECT_TRUE(info.value().recovered);
-  EXPECT_FALSE(info.value().from_snapshot);
-  EXPECT_EQ(info.value().digest_mismatches, 0u);
-  EXPECT_EQ(recovered.subscription_count(), 30u);
-  // Deterministic compiler + full op history => bit-identical pipeline.
-  EXPECT_EQ(camus::table::pipeline_digest(*recovered.intended().value()),
-            pre_crash_digest);
+  controller_cases::exact_replay_is_bit_identical<Durable>();
 }
 
 TEST(Recovery, EpochIncreasesAcrossEveryRestart) {
-  MemStorage st;
-  const auto schema = camus::spec::make_itch_schema();
-  std::uint64_t last = 0;
-  for (int run = 0; run < 4; ++run) {
-    DurableController ctl(schema, st);
-    ASSERT_TRUE(ctl.open().ok());
-    EXPECT_GT(ctl.epoch(), last);
-    last = ctl.epoch();
-    st.crash();
-  }
+  controller_cases::epoch_increases_across_every_restart<Durable>();
 }
 
 // --- Epoch fencing --------------------------------------------------------
@@ -442,46 +381,7 @@ TEST(Recovery, CrashMidInstallResolvesBothWorlds) {
 // --- Snapshot (checkpoint) recovery --------------------------------------
 
 TEST(Recovery, CheckpointRecoveryIsSemanticallyEquivalent) {
-  MemStorage st;
-  const auto schema = camus::spec::make_itch_schema();
-  camus::util::Rng rng(17);
-  camus::table::Pipeline pre_crash;
-  std::size_t live = 0;
-  {
-    DurableController ctl(schema, st);
-    ASSERT_TRUE(ctl.open().ok());
-    for (int i = 0; i < 20; ++i) {
-      ASSERT_TRUE(
-          ctl.subscribe(static_cast<std::uint16_t>(1 + i % 7), gen_rule(rng))
-              .ok());
-      if (i % 4 == 3) ASSERT_TRUE(ctl.commit().ok());
-    }
-    ASSERT_TRUE(ctl.checkpoint().value());
-    // More churn after the checkpoint: replay = snapshot + suffix.
-    ASSERT_TRUE(ctl.unsubscribe(3).ok());
-    ASSERT_TRUE(ctl.subscribe(8, gen_rule(rng)).ok());
-    ASSERT_TRUE(ctl.commit().ok());
-    pre_crash = *ctl.intended().value();
-    live = ctl.subscription_count();
-  }
-  st.crash();
-
-  DurableController recovered(schema, st);
-  auto info = recovered.open();
-  ASSERT_TRUE(info.ok());
-  EXPECT_TRUE(info.value().from_snapshot);
-  EXPECT_EQ(recovered.subscription_count(), live);
-  ASSERT_TRUE(recovered.commit().ok());
-
-  // Fresh state numbering: digests may differ, classification may not.
-  const camus::table::Pipeline& post = *recovered.intended().value();
-  camus::util::Rng probe_rng(400);
-  for (int i = 0; i < 200; ++i) {
-    const camus::lang::Env env = probe_env(probe_rng);
-    EXPECT_EQ(pre_crash.evaluate_actions(env).ports,
-              post.evaluate_actions(env).ports)
-        << "probe " << i;
-  }
+  controller_cases::checkpoint_recovery_is_semantically_equivalent<Durable>();
 }
 
 // --- The crash-point sweep -----------------------------------------------
@@ -687,61 +587,11 @@ TEST(RecoveryConcurrency, ReconcileRacesBatchProcessing) {
 // --- Automatic checkpoint policy -----------------------------------------
 
 TEST(CheckpointPolicy, DisabledByDefault) {
-  MemStorage st;
-  DurableController ctl(camus::spec::make_itch_schema(), st);
-  ASSERT_TRUE(ctl.open().ok());
-  camus::util::Rng rng(5);
-  for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(ctl.subscribe(1, gen_rule(rng)).ok());
-    ASSERT_TRUE(ctl.commit().ok());
-  }
-  EXPECT_EQ(ctl.auto_checkpoints(), 0u);
-  // The journal still holds the full history: exact replay, no snapshot.
-  DurableController successor(camus::spec::make_itch_schema(), st);
-  auto info = successor.open();
-  ASSERT_TRUE(info.ok());
-  EXPECT_FALSE(info.value().from_snapshot);
+  controller_cases::checkpoint_policy_disabled_by_default<Durable>();
 }
 
 TEST(CheckpointPolicy, AutoCompactsWhenEstimatedReplayExceedsBound) {
-  MemStorage st;
-  DurableController ctl(camus::spec::make_itch_schema(), st);
-  ASSERT_TRUE(ctl.open().ok());
-  // Deterministic trigger regardless of machine speed: charge each record
-  // a full second, so the estimate crosses the 10s bound as soon as
-  // min_records accumulate — about every 20 records (~10 commits).
-  camus::pubsub::CheckpointPolicy policy;
-  policy.max_replay_seconds = 10.0;
-  policy.min_records = 20;
-  policy.per_record_seconds = 1.0;
-  ctl.set_checkpoint_policy(policy);
-
-  camus::util::Rng rng(6);
-  const int n_commits = 200;
-  for (int i = 0; i < n_commits; ++i) {
-    ASSERT_TRUE(
-        ctl.subscribe(static_cast<std::uint16_t>(1 + i % 6), gen_rule(rng))
-            .ok());
-    if (i > 0 && i % 9 == 0)
-      ctl.unsubscribe(static_cast<std::uint16_t>(1 + i % 6));
-    ASSERT_TRUE(ctl.commit().ok());
-  }
-  // ~2 records per commit, compaction every ~20 records: many checkpoints,
-  // and the journal never grows past one policy window.
-  EXPECT_GE(ctl.auto_checkpoints(), 10u);
-  EXPECT_LE(ctl.estimated_replay_seconds(),
-            policy.max_replay_seconds + policy.min_records * 2.0);
-
-  // A successor recovers through the checkpoint path: O(live state)
-  // replay, not O(200-commit history).
-  DurableController successor(camus::spec::make_itch_schema(), st);
-  auto info = successor.open();
-  ASSERT_TRUE(info.ok()) << info.error().to_string();
-  EXPECT_TRUE(info.value().from_snapshot);
-  EXPECT_EQ(successor.subscription_count(), ctl.subscription_count());
-  EXPECT_LT(info.value().records_replayed,
-            static_cast<std::size_t>(n_commits));
-  EXPECT_EQ(successor.commit_seq(), ctl.commit_seq());
+  controller_cases::checkpoint_policy_auto_compacts<Durable>();
 }
 
 }  // namespace
