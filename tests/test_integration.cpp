@@ -4,7 +4,9 @@
 // messages its filters select (validated against the naive matcher).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <type_traits>
 
 #include "baseline/matcher.hpp"
 #include "lang/parser.hpp"
@@ -18,10 +20,15 @@ namespace {
 
 using namespace camus;
 
+// gtest names each case by a byte dump of its parameter, so the struct
+// carries no implicit padding: zeroed explicit padding keeps the names the
+// same from one build to the next.
 struct IntegrationParams {
   std::uint64_t seed;
   bool compression;
+  std::uint8_t padding[7] = {};
 };
+static_assert(std::has_unique_object_representations_v<IntegrationParams>);
 
 class EndToEnd : public ::testing::TestWithParam<IntegrationParams> {};
 
